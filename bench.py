@@ -2,7 +2,7 @@
 
 Plain run: executes the headline pipelines at $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) under ray.init(num_cpus=$RAY_GRAFT_CPUS, default
-32) and prints ONE JSON line:
+the number of CPUs this process may run on) and prints ONE JSON line:
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
      "queries": {...per-pipeline sec...}, "sf": ..., "num_cpus": N, ...}
@@ -40,7 +40,7 @@ def _sf_from_dir(sf_dir: str) -> float:
 
 def run_bench() -> dict:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
     sf = _sf_from_dir(sf_dir)
     # scaling runs use a larger web table + a block count divisible by
     # both worker counts, so the asymptotic (100 TB-relevant) efficiency

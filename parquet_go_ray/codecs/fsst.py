@@ -24,13 +24,20 @@ Everything is vectorized:
 Training is a simplified version of the paper's iterative algorithm: at
 each round, tokenize a bounded sample with the current table, count token
 and adjacent-token-pair substrings, keep the 255 candidates with the
-highest apparent gain (frequency × length).
+highest apparent gain (frequency × length). It runs natively
+(``fsst_train`` in _fsst_native.c: the same greedy matcher as the
+encoder, a hash count and a bounded heap) whenever the C kernels load;
+the numpy trainer (``_train_numpy``) is kept as the reference and as the
+fallback without a compiler, and both return the same symbol list.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
+from . import native
 from ._util import uvarint_decode, uvarint_encode
 
 ESCAPE = 255
@@ -43,71 +50,18 @@ TRAIN_ITERS = 4
 _U64 = np.uint64
 
 # ---------------------------------------------------------------- native
-# Optional C hot loop for the greedy tokenizer (compiled once per host
-# with the system compiler, cached under /tmp; sha-keyed so source edits
-# invalidate). The numpy implementation below remains the reference and
-# the fallback — both produce the same wire format and are
-# cross-compatible (tested in tests/test_fsst.py).
-
-_NATIVE: object = None
+# Optional C kernels (tokenizer, decoder, trainer) in _fsst_native.c,
+# loaded through native.load. The numpy implementation below remains the
+# reference and the fallback — both produce the same wire format and the
+# same symbol tables (tested in tests/test_fsst.py).
 
 
 def _native():
-    global _NATIVE
-    if _NATIVE is None:
-        _NATIVE = _load_native() or False
-    return _NATIVE or None
+    return native.load("_fsst_native.c")
 
 
-def _native_cache_dir():
-    """Per-user 0700 cache dir for the compiled kernel (never a shared,
-    predictable world-writable path another local user could pre-seed)."""
-    import os
-    from pathlib import Path
-
-    base = Path(
-        os.environ.get("XDG_CACHE_HOME", str(Path.home() / ".cache"))
-    ) / "pgr_native"
-    base.mkdir(parents=True, exist_ok=True, mode=0o700)
-    st = base.stat()
-    if st.st_uid != os.getuid() or (st.st_mode & 0o077):
-        import tempfile
-
-        base = Path(tempfile.mkdtemp(prefix="pgr_native_"))
-    return base
-
-
-def _load_native():
-    try:
-        import ctypes
-        import hashlib
-        import os
-        import subprocess
-        from pathlib import Path
-
-        src = Path(__file__).with_name("_fsst_native.c")
-        code = src.read_bytes()
-        key = hashlib.sha1(code).hexdigest()[:12]
-        so = _native_cache_dir() / f"fsst_{key}.so"
-        if not so.exists():
-            tmp = f"{so}.{os.getpid()}.tmp"
-            subprocess.run(
-                ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, str(src)],
-                check=True,
-                capture_output=True,
-                timeout=60,
-            )
-            os.replace(tmp, so)
-        # never dlopen a file another uid could have planted
-        st = os.stat(so)
-        if st.st_uid != os.getuid():
-            return None
-        lib = ctypes.CDLL(str(so))
-        lib.fsst_encode.restype = ctypes.c_int
-        lib.fsst_decode.restype = ctypes.c_int
-        return lib
-    except Exception:
-        return None
+def _ptr(a: np.ndarray):
+    return a.ctypes.data_as(ctypes.c_void_p)
 
 
 def _windows_u64(buf: np.ndarray) -> np.ndarray:
@@ -203,9 +157,10 @@ class SymbolTable:
         # native-path tables: 8-byte padded symbol matrix + u8 lengths
         self._packed = np.zeros((MAX_SYMBOLS, 8), dtype=np.uint8)
         self._lens_u8 = np.zeros(MAX_SYMBOLS, dtype=np.uint8)
-        for i, s in enumerate(symbols):
-            self._packed[i, : len(s)] = np.frombuffer(s, dtype=np.uint8)
-            self._lens_u8[i] = len(s)
+        lens = self._lens[:-1]
+        rows = np.repeat(np.arange(len(symbols)), lens)
+        self._packed[rows, np.arange(len(concat)) - off[rows]] = self._concat
+        self._lens_u8[: len(symbols)] = lens
 
     # ------------------------------------------------------------ wire form
     def serialize(self) -> bytes:
@@ -365,7 +320,7 @@ class SymbolTable:
 
     def _tokenize_via_native(self, lib, data: bytes):
         """Recover (starts, lengths, codes) from the native encoder's
-        stream — used by training so it also runs at native speed."""
+        stream — lets the numpy trainer tokenize at native speed."""
         stream = self._encode_native(lib, data)
         n_blocks, pos = uvarint_decode(stream, 0)
         block_lens = np.empty(n_blocks, dtype=np.int64)
@@ -417,27 +372,21 @@ class SymbolTable:
         return b"".join(header) + out.tobytes()
 
     def _encode_native(self, lib, data: bytes) -> bytes:
-        import ctypes
-
         n = len(data)
         buf = np.frombuffer(data, dtype=np.uint8)
         out = np.empty(2 * n + 16, dtype=np.uint8)
         block_lens = np.empty(n // BLOCK + 2, dtype=np.int64)
         out_len = ctypes.c_int64(0)
         n_blocks = ctypes.c_int64(0)
-
-        def ptr(a):
-            return a.ctypes.data_as(ctypes.c_void_p)
-
         rc = lib.fsst_encode(
-            ptr(buf) if n else None,
+            _ptr(buf) if n else None,
             ctypes.c_int64(n),
-            ptr(self._packed),
-            ptr(self._lens_u8),
+            _ptr(self._packed),
+            _ptr(self._lens_u8),
             ctypes.c_int32(len(self.symbols)),
-            ptr(out),
+            _ptr(out),
             ctypes.byref(out_len),
-            ptr(block_lens),
+            _ptr(block_lens),
             ctypes.byref(n_blocks),
         )
         if rc != 0:
@@ -448,23 +397,17 @@ class SymbolTable:
         return b"".join(header) + out[: int(out_len.value)].tobytes()
 
     def _decode_native(self, lib, codes: np.ndarray) -> bytes:
-        import ctypes
-
         n = len(codes)
         out = np.empty(8 * n + 16, dtype=np.uint8)
         out_len = ctypes.c_int64(0)
-
-        def ptr(a):
-            return a.ctypes.data_as(ctypes.c_void_p)
-
         codes = np.ascontiguousarray(codes)
         rc = lib.fsst_decode(
-            ptr(codes),
+            _ptr(codes),
             ctypes.c_int64(n),
-            ptr(self._packed),
-            ptr(self._lens_u8),
+            _ptr(self._packed),
+            _ptr(self._lens_u8),
             ctypes.c_int32(len(self.symbols)),
-            ptr(out),
+            _ptr(out),
             ctypes.c_int64(len(out)),
             ctypes.byref(out_len),
         )
@@ -516,13 +459,48 @@ class SymbolTable:
         return out.tobytes()
 
 
-def train(data: bytes, max_symbols: int = MAX_SYMBOLS, iters: int = TRAIN_ITERS) -> SymbolTable:
-    """Train a symbol table on (a bounded sample of) data."""
-    sample = data[:TRAIN_SAMPLE]
+def train(data, max_symbols: int = MAX_SYMBOLS, iters: int = TRAIN_ITERS) -> SymbolTable:
+    """Train a symbol table on the first TRAIN_SAMPLE bytes of data
+    (bytes or any buffer; only the sample is copied). Runs the native
+    kernel when it is loaded, else the numpy reference; both return the
+    same table."""
+    sample = bytes(data[:TRAIN_SAMPLE])
+    if not sample:
+        return SymbolTable([])
+    lib = _native()
+    if lib is not None:
+        return _train_native(lib, sample, max_symbols, iters)
+    return _train_numpy(sample, max_symbols, iters)
+
+
+def _train_native(lib, sample: bytes, max_symbols: int, iters: int) -> SymbolTable:
+    buf = np.frombuffer(sample, dtype=np.uint8)
+    packed = np.zeros((MAX_SYMBOLS, 8), dtype=np.uint8)
+    lens = np.zeros(MAX_SYMBOLS, dtype=np.uint8)
+    n_syms = ctypes.c_int32(0)
+    rc = lib.fsst_train(
+        _ptr(buf),
+        ctypes.c_int64(len(buf)),
+        ctypes.c_int32(max_symbols),
+        ctypes.c_int32(iters),
+        _ptr(packed),
+        _ptr(lens),
+        ctypes.byref(n_syms),
+    )
+    if rc == 1:
+        raise ValueError(f"fsst_train: bad argument (max_symbols={max_symbols})")
+    if rc != 0:
+        raise MemoryError(f"native fsst_train failed rc={rc}")
+    return SymbolTable([packed[i, : lens[i]].tobytes() for i in range(n_syms.value)])
+
+
+def _train_numpy(sample: bytes, max_symbols: int, iters: int) -> SymbolTable:
+    """Reference trainer: at each round, tokenize the sample with the
+    current table, count token and adjacent-token-pair substrings, keep the
+    max_symbols candidates with the highest apparent gain (count × length),
+    ties broken by key, then length."""
     buf = np.frombuffer(sample, dtype=np.uint8)
     n = len(buf)
-    if n == 0:
-        return SymbolTable([])
     table = SymbolTable([])
     w = _windows_u64(buf.astype(np.uint64))
     for _ in range(iters):
@@ -582,7 +560,7 @@ def encode_byte_array(
     from . import delta
 
     if table is None:
-        table = train(bytes(data))
+        table = train(data)
     codes = table.encode(bytes(data))
     lengths = np.diff(np.asarray(offsets, dtype=np.int64)).astype(np.int32)
     lblock = delta.encode_binary_packed(lengths, 32)

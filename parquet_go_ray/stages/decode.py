@@ -18,6 +18,15 @@ import pyarrow.parquet as pq
 from ..codecs import chunk as chunk_mod
 
 
+def _verified(blob: bytes, crc: int, column: str) -> bytes:
+    """The payload, after checking it against its chunk record's CRC32."""
+    if zlib.crc32(blob) != crc:
+        raise chunk_mod.ChunkError(
+            f"chunk payload checksum mismatch for column {column}"
+        )
+    return blob
+
+
 def decode_chunk_table(chunks: pa.Table) -> pa.Table:
     """Decode a chunk-record table (possibly several chunk groups).
     File-level dict pages (codec "dict_page") are decoded first and
@@ -47,12 +56,8 @@ def decode_chunk_table(chunks: pa.Table) -> pa.Table:
         crcs = group.column("crc32")
         payloads = group.column("payload")
         for i in order:
-            blob = payloads[int(i)].as_py()
-            if zlib.crc32(blob) != crcs[int(i)].as_py():
-                raise ValueError(
-                    f"chunk payload checksum mismatch for column {cols[int(i)]}"
-                )
             name = cols[int(i)].as_py()
+            blob = _verified(payloads[int(i)].as_py(), crcs[int(i)].as_py(), name)
             names.append(name)
             arrays.append(
                 chunk_mod.decode_array(blob, shared_dict=shared_dicts.get(name))
@@ -163,11 +168,7 @@ def isnull_chunk_table(
                 raise chunk_mod.ChunkError(
                     f"null-scan column {column!r} missing from chunk group"
                 ) from None
-            blob = payloads[pred_i].as_py()
-            if zlib.crc32(blob) != crcs[pred_i].as_py():
-                raise ValueError(
-                    f"chunk payload checksum mismatch for column {column}"
-                )
+            blob = _verified(payloads[pred_i].as_py(), crcs[pred_i].as_py(), column)
             mask = chunk_mod.null_mask(blob)
             if not mask.any():
                 continue
@@ -180,11 +181,7 @@ def isnull_chunk_table(
             name = names[int(i)]
             if columns is not None and name not in columns:
                 continue
-            cb = payloads[int(i)].as_py()
-            if zlib.crc32(cb) != crcs[int(i)].as_py():
-                raise ValueError(
-                    f"chunk payload checksum mismatch for column {name}"
-                )
+            cb = _verified(payloads[int(i)].as_py(), crcs[int(i)].as_py(), name)
             arr = chunk_mod.decode_array(cb, shared_dict=shared_dicts.get(name))
             out_names.append(name)
             out_arrays.append(arr if sel is None else arr.filter(sel))
@@ -247,11 +244,7 @@ def search_chunk_table(
             raise chunk_mod.ChunkError(
                 f"search column {column!r} missing from chunk group"
             ) from None
-        blob = payloads[pred_i].as_py()
-        if zlib.crc32(blob) != crcs[pred_i].as_py():
-            raise ValueError(
-                f"chunk payload checksum mismatch for column {column}"
-            )
+        blob = _verified(payloads[pred_i].as_py(), crcs[pred_i].as_py(), column)
         if pred is not None:
             mask = chunk_mod.dict_domain_mask_pred(
                 blob, pred, shared_dict=shared_dicts.get(column)
@@ -295,11 +288,7 @@ def search_chunk_table(
             if name == column and pred_arr is not None:
                 arr = pred_arr
             else:
-                cb = payloads[int(i)].as_py()
-                if zlib.crc32(cb) != crcs[int(i)].as_py():
-                    raise ValueError(
-                        f"chunk payload checksum mismatch for column {name}"
-                    )
+                cb = _verified(payloads[int(i)].as_py(), crcs[int(i)].as_py(), name)
                 arr = chunk_mod.decode_array(
                     cb, shared_dict=shared_dicts.get(name)
                 )

@@ -362,6 +362,22 @@ def test_bytes_capped_chunking():
     assert decode_chunk_table(chunks).equals(t)
 
 
+def test_flipped_payload_byte_raises_chunk_error():
+    from parquet_go_ray.codecs.chunk import ChunkError
+    from parquet_go_ray.stages.decode import decode_chunk_table
+    from parquet_go_ray.stages.encode import encode_table
+
+    chunks = encode_table(webpages.generate_shard(0.001, 0, 200), bloom_columns=())
+    payloads = chunks.column("payload").to_pylist()
+    blob = bytearray(payloads[2])
+    blob[len(blob) // 2] ^= 0x01
+    payloads[2] = bytes(blob)
+    i = chunks.schema.get_field_index("payload")
+    bad = chunks.set_column(i, "payload", pa.array(payloads, chunks.schema.field(i).type))
+    with pytest.raises(ChunkError, match="checksum mismatch for column html"):
+        decode_chunk_table(bad)
+
+
 def test_chunk_id_deterministic():
     from parquet_go_ray.stages.encode import chunk_id_for
 
