@@ -408,14 +408,10 @@ def encode_array(
         else:
             validity = b""
             values = arr
-        from . import selector
-
         if codec is None:
+            from . import selector
+
             codec = selector.select(values, ptype, ctx, compression)
-        elif codec == R.FSST and ptype == R.BYTE_ARRAY and "fsst_table" not in ctx:
-            # the table a selection picking FSST would use: a cached or
-            # forced codec gives the bytes of a cold selection
-            ctx["fsst_table"] = selector.trial_fsst_table(values)
         shared_ok = (
             codec == R.DICT_SHARED
             and ptype == R.BYTE_ARRAY

@@ -305,9 +305,6 @@ class SymbolTable:
         Returns (starts, lengths, codes) where codes == ESCAPE marks a
         literal byte token.
         """
-        lib = _native()
-        if lib is not None and len(data):
-            return self._tokenize_via_native(lib, data)
         buf = np.frombuffer(data, dtype=np.uint8)
         n = len(buf)
         bestlen, symid = self._match(buf)
@@ -317,30 +314,6 @@ class SymbolTable:
         lengths = step[starts]
         codes = np.where(bestlen[starts] > 0, symid[starts], ESCAPE).astype(np.uint8)
         return starts, lengths, codes
-
-    def _tokenize_via_native(self, lib, data: bytes):
-        """Recover (starts, lengths, codes) from the native encoder's
-        stream — lets the numpy trainer tokenize at native speed."""
-        stream = self._encode_native(lib, data)
-        n_blocks, pos = uvarint_decode(stream, 0)
-        block_lens = np.empty(n_blocks, dtype=np.int64)
-        for i in range(n_blocks):
-            block_lens[i], pos = uvarint_decode(stream, pos)
-        b = np.frombuffer(stream, dtype=np.uint8, offset=pos)
-        roots = np.zeros(n_blocks, dtype=np.int64)
-        if n_blocks:
-            np.cumsum(block_lens[:-1], out=roots[1:])
-        step = np.where(b == ESCAPE, 2, 1)
-        cstarts = _path_positions(step, len(b), roots if n_blocks else None)
-        tok = b[cstarts]
-        is_esc = tok == ESCAPE
-        in_lens = np.where(
-            is_esc, 1, self._lens[np.minimum(tok, len(self.symbols))]
-        ).astype(np.int64)
-        starts = np.zeros(len(in_lens), dtype=np.int64)
-        if len(in_lens) > 1:
-            np.cumsum(in_lens[:-1], out=starts[1:])
-        return starts, in_lens, tok
 
     # ------------------------------------------------------------ en/decode
     def encode(self, data: bytes) -> bytes:

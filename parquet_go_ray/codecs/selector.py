@@ -28,20 +28,6 @@ def _sample(values: pa.Array, k: int = SAMPLE_VALUES) -> pa.Array:
     return values.take(idx)
 
 
-def _trial_sample(values: pa.Array) -> pa.Array:
-    return values if len(values) < MIN_SAMPLE else _sample(values)
-
-
-def trial_fsst_table(values: pa.Array):
-    """The FSST symbol table select() trial-encodes null-free `values`
-    with, and that the chunk's final encode then reuses."""
-    from . import fsst
-    from .dictionary import _byte_array_buffers
-
-    data, _off = _byte_array_buffers(_trial_sample(values))
-    return fsst.train(data)
-
-
 def select(
     values: pa.Array,
     ptype: int,
@@ -61,10 +47,17 @@ def select(
     candidates = R.SUPPORTED[ptype]
     if len(candidates) == 1 or len(values) == 0:
         return candidates[0]
-    sample = _trial_sample(values)
+    if len(values) < MIN_SAMPLE:
+        sample = values
+    else:
+        sample = _sample(values)
     trial_ctx: dict = dict(ctx or {})
     if ptype == R.BYTE_ARRAY and R.FSST in candidates and "fsst_table" not in trial_ctx:
-        trial_ctx["fsst_table"] = trial_fsst_table(values)
+        from . import fsst
+        from .dictionary import _byte_array_buffers
+
+        data, _off = _byte_array_buffers(sample)
+        trial_ctx["fsst_table"] = fsst.train(data)
     codec_obj = None
     if compression:
         import pyarrow as _pa

@@ -215,12 +215,11 @@ def chunk_id_for(table: pa.Table) -> str:
 # per-worker codec-selection cache
 #
 # Keyed by (column name, dtype) inside a per-JOB namespace; Ray reuses
-# worker processes across tasks AND across jobs, so the selector's trial
-# encodes amortize over every chunk a worker encodes for one job
-# (writer.go:340-347's per-writer dictionary state, made per-worker;
-# FSST tables are kept per shard, see ChunkEncoder._cache) — but a
-# selection trained on job A's `text` column must never be reused for
-# job B's unrelated `text` column (two corpora
+# worker processes across tasks AND across jobs, so the selector's
+# sampling + FSST training amortize over every chunk a worker encodes
+# for one job (writer.go:340-347's per-writer dictionary state, made
+# per-worker) — but a selection trained on job A's `text` column must
+# never be reused for job B's unrelated `text` column (two corpora
 # sharing a long-lived cluster would cross-contaminate codec choices,
 # and the drift guard needs DRIFT_HYSTERESIS consecutive bad chunks to
 # notice). The namespace key is the STORE identity (output_dir +
@@ -268,9 +267,12 @@ def _encode_column_cached(
     """Encode one column chunk, consulting/maintaining the selection cache.
 
     Natural chunk-to-chunk ratio variance must not thrash the cache (a
-    re-selection trial-encodes every candidate — the very cost the cache
-    exists to amortize), so invalidation needs DRIFT_HYSTERESIS
-    consecutive bad chunks; a re-selection always starts from scratch."""
+    re-selection trial-encodes every candidate and trains an FSST table —
+    the very cost the cache exists to amortize), so invalidation needs
+    DRIFT_HYSTERESIS consecutive bad chunks, and a drift-triggered
+    re-selection reuses the previous FSST table as its trial table (a
+    stale table only mis-ranks FSST itself, and only pessimistically;
+    the periodic RESELECT_EVERY pass always retrains from scratch)."""
     if cache is None:
         ctx: dict = {}
         return chunk_mod.encode_array(arr, override, compression, ctx)
@@ -300,11 +302,17 @@ def _encode_column_cached(
         if ratio > ent["baseline"] * (1 + RETRAIN_SLACK):
             ent["drift"] = ent.get("drift", 0) + 1
             if ent["drift"] >= DRIFT_HYSTERESIS:
-                cache.pop(key)
+                stale = cache.pop(key)
+                table = stale["ctx"].get("fsst_table")
+                if table is not None and stale["codec"] != R.CODEC_IDS["fsst"]:
+                    cache[("__hint__",) + key] = table
         else:
             ent["drift"] = 0
         return blob
     ctx = {}
+    hint = cache.pop(("__hint__",) + key, None)
+    if hint is not None:
+        ctx["fsst_table"] = hint
     blob = chunk_mod.encode_array(arr, override, compression, ctx)
     cache[key] = {
         "codec": blob[4],
@@ -539,19 +547,11 @@ class ChunkEncoder:
         return max(1, min(self.rows_per_chunk, self.max_chunk_bytes // row_bytes))
 
     def _cache(self) -> dict:
-        """The codec-selection cache for the next shard: module-global
-        (per worker process) for the stateless-task form, namespaced by
-        job so a reused worker never bleeds one job's selections into
-        another; overridden per instance in the actor-pool form.
-
-        Ray decides which shards a worker encodes, and in which order, so
-        only codec choices cross shards here: FSST tables are dropped and
-        each shard's first FSST chunk trains its own, which keeps a
-        shard's bytes independent of what the worker encoded before."""
-        cache = _namespace_cache(_COLUMN_CACHE, self.cache_namespace)
-        for ent in cache.values():
-            ent["ctx"].pop("fsst_table", None)
-        return cache
+        """The codec-selection cache: module-global (per worker process)
+        for the stateless-task form, namespaced by job so a reused
+        worker never bleeds one job's selections into another;
+        overridden per instance in the actor-pool form."""
+        return _namespace_cache(_COLUMN_CACHE, self.cache_namespace)
 
     def _encode_groups(
         self, group: pa.Table, shard: str, cache: dict
@@ -623,14 +623,13 @@ class ChunkEncoder:
     def __call__(self, batch: pa.Table) -> pa.Table:
         outputs = []
         summaries = []
+        cache = self._cache()
         for shard, source_path, group in split_by_shard(batch, self.default_shard):
             if self._shard_done(shard):
                 continue
             if self.shard_per_call:
                 shard = f"{shard}-{chunk_id_for(group)}"
-            chunks = pa.concat_tables(
-                self._encode_groups(group, shard, self._cache())
-            )
+            chunks = pa.concat_tables(self._encode_groups(group, shard, cache))
             if self.output_dir:
                 chunks = write_chunk_file(chunks, self.output_dir)
                 lineage = lineage_of(chunks)
