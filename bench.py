@@ -186,21 +186,6 @@ def run_bench() -> dict:
         s2["enc_nbytes"] / max(1, s2["raw_nbytes"]), 4
     )
 
-    # ---- actor pool with cached per-partition FSST/dict state ----
-    out4 = f"{out_root}/bench_encode_cached_sf{sf:g}_{ncpu}"
-
-    def _run_cached():
-        shutil.rmtree(out4, ignore_errors=True)
-        return encode_job(
-            files, out4, mode="actor_cached", resume=False,
-            override_num_blocks=nblocks,
-        )
-
-    results["webpages_encode_cached"], s4 = timed_min(_run_cached)
-    detail["compression_ratio_cached"] = round(
-        s4["enc_nbytes"] / max(1, s4["raw_nbytes"]), 4
-    )
-
     # ---- zstd page-compression layer on top of the lightweight codecs ----
     out3 = f"{out_root}/bench_encode_zstd_sf{sf:g}_{ncpu}"
 

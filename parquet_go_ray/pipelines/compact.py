@@ -45,6 +45,7 @@ import ray
 import ray.data
 
 from ..state import manifest
+from .tombstone import store_bloom_columns
 
 
 def _plan_groups(
@@ -171,10 +172,12 @@ def compact_store(
     plan = _plan_groups(store_dir, target_bytes, min_group)
     if not plan:
         return {"groups": 0, "shards_removed": recovered, "rows": 0}
+    # the rewrite keeps the store's bloom sidecars (ADVICE r4 #2)
+    bloom_columns = store_bloom_columns(store_dir)
 
     def compact_group(batch: pa.Table) -> pa.Table:
         from ..stages.decode import decode_chunk_table
-        from ..stages.encode import ChunkEncoder, lineage_of, write_chunk_file
+        from ..stages.encode import ChunkEncoder
 
         out_rows = []
         for group, members, expect_rows in zip(
@@ -227,15 +230,13 @@ def compact_store(
                     {"group": group, "members": len(members), "rows": 0}
                 )
                 continue
-            enc = ChunkEncoder(
+            ChunkEncoder(
                 output_dir=store_dir,
                 rows_per_chunk=rows_per_chunk,
                 skip_completed=False,
                 compression=compression,
-            )
-            chunks = pa.concat_tables(enc._encode_groups(rows, group, enc._cache()))
-            chunks = write_chunk_file(chunks, store_dir)
-            manifest.record_shard_table(store_dir, group, lineage_of(chunks))
+                bloom_columns=bloom_columns,
+            ).encode_shard(rows, group)
             for m in members:
                 _drop_shard(store_dir, m)
             (manifest.manifest_dir(store_dir) / f"{group}.members.json").unlink()

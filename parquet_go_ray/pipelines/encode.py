@@ -1,14 +1,14 @@
 """The encode job: web-page parquet -> encoded chunk store + manifest.
 
-Ray-Data-first: `read_parquet` (column-pruned at the source) ->
-`map_batches(ChunkEncoder)` (stateless tasks; per-chunk dictionary/FSST
-state lives in the chunk payloads) -> lineage records -> per-shard
-manifest written by a tiny `groupby("shard").map_groups` over lineage
-rows only (the data itself never shuffles in the direct path).
+Every mode ends in the same shard body, `ChunkEncoder.encode_shard`:
+resume check, chunking, encode, one packed chunk file per shard, the
+shard's manifest committed in-task, one summary row back to the driver.
+The modes differ only in how rows reach it.
 
 Modes:
-- "direct" (default): input-shard-aligned, no shuffle; resume skips
-  whole completed shards.
+- "direct" (default): input-shard-aligned, no shuffle; tasks get shard
+  PATHS (`PathPlanEncoder`) and read their shards themselves, so the
+  driver never probes footers; resume skips whole completed shards.
 - "lang_local": skew-aware layout with ZERO shuffle — each task sorts
   its own shard by (lang, warc_ts) before chunking, so chunks are
   language-homogeneous runs and the per-run selection caches hold
@@ -21,16 +21,17 @@ Modes:
   partitions; each (lang, salt) group is a deterministic shard with
   denser per-language dictionaries/FSST tables; resumed runs re-shuffle
   but skip the encode+write work of durable partitions.
-- "actor_cached": actor pool holding per-partition FSST/dict
-  symbol-table state across batches (stages/encode.CachedStateEncoder).
 - "sorted": global url sample-sort before encoding (front-coding case).
 - "zorder": global sample-sort on a Morton key over two int-like
   columns — range predicates on EITHER column prune chunk stats
   (Z-ORDER BY clustering; single-column sort helps only its own column).
+- "bucket": groupby on hash(key) % B; every bucket is a shard, the
+  layout storage-partitioned joins pair on.
 
-At 100 TB: lineage rows are ~1e-5 of the data volume; the manifest
-groupby moves only those. Chunk files land under one directory per
-shard, so a failed run resumes by skipping manifested shards.
+At 100 TB: lineage rows are ~1e-5 of the data volume and only
+block-split shards send theirs to the driver. Chunk files land under one
+directory per shard, so a failed run resumes by skipping manifested
+shards.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ import pyarrow as pa
 import ray
 import ray.data
 
-# per-worker, per-language codec-selection caches for lang_salted mode
-_SALTED_CACHES: dict[str, dict] = {}
-
 from ..codecs.registry import FORMAT_VERSION as _FORMAT_VERSION
-from ..stages.encode import ChunkEncoder, encode_table, lineage_of, write_chunk_file
+from ..stages.encode import (
+    ChunkEncoder,
+    PathPlanEncoder,
+    _table_from_ipc,
+    summary_table,
+)
 from ..state import manifest
 
 DEFAULT_ROWS_PER_CHUNK = 4096
@@ -100,6 +103,23 @@ def encode_job(*args, **kwargs) -> dict:
         return _encode_job_impl(*args, **kwargs)
 
 
+def _encode_salted_group(group: pa.Table, encoder: ChunkEncoder) -> pa.Table:
+    """lang_salted's map_groups body: one (lang, salt) partition is one
+    shard, encoded with the store's per-language selection cache so the
+    FSST tables specialize to the language whose partitions this worker
+    encodes — the point of the salted layout. The partition lands in ONE
+    packed file, so dict-winning string columns write their accumulated
+    per-language dictionary once per file."""
+    lang = group.column("lang")[0].as_py()
+    salt = group.column("_salt")[0].as_py()
+    row = encoder.encode_shard(
+        group.drop_columns(["_salt"]),
+        f"lang={lang}-s{salt:02d}",
+        cache=encoder._cache(lang),
+    )
+    return summary_table([] if row is None else [row])
+
+
 def _encode_job_impl(
     input_files: list[str],
     output_dir: str,
@@ -107,20 +127,16 @@ def _encode_job_impl(
     rows_per_chunk: int = DEFAULT_ROWS_PER_CHUNK,
     salts: int = DEFAULT_SALTS,
     resume: bool = True,
-    concurrency: int | None = None,
     columns: list[str] | None = None,
     compression: str | None = None,
     override_num_blocks: int | None = None,
     bloom_columns: tuple[str, ...] = ("url",),
     codec_overrides: dict[str, str] | None = None,
-    plan: str = "paths",
     zorder_cols: tuple[str, str] = ("warc_ts", "n_chars"),
     bucket_key: str = "url",
     num_buckets: int = 32,
 ) -> dict:
     t0 = time.time()
-    if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 2)
     input_files = sorted(input_files)
     if resume:
         # refuse to mix chunk formats in one store (ADVICE r2): a store
@@ -157,26 +173,35 @@ def _encode_job_impl(
         }
     manifest.write_job_meta(output_dir, job_meta)
 
+    def encoder(**kwargs) -> ChunkEncoder:
+        return ChunkEncoder(
+            output_dir=output_dir,
+            rows_per_chunk=rows_per_chunk,
+            compression=compression,
+            bloom_columns=bloom_columns,
+            codec_overrides=codec_overrides,
+            **kwargs,
+        )
+
+    skipped = 0
     if mode in ("direct", "lang_local"):
         pending = [f for f in input_files if Path(f).stem not in done]
         skipped = len(input_files) - len(pending)
         if not pending:
             return {"rows": 0, "shards_skipped": skipped, "sec": 0.0}
-        # shard-aligned blocks: one task per input file, so every task
-        # owns a whole shard and commits its manifest in-task (at scale,
-        # shards >> cores; oversized shards still split dynamically and
-        # fall back to the driver-side lineage merge)
+        # shard-aligned tasks planned from the file LIST: read_parquet's
+        # planning probes every footer on the driver (~2 ms/file —
+        # minutes at 10^5 shards); PathPlanEncoder reads shards inside
+        # the tasks. Every task owns whole shards and commits their
+        # manifests in-task, packing each shard into ONE parquet file
+        # (file count tracks task count, not chunk count — at 100 TB
+        # this is the difference between 10^6 and 10^8 output files).
+        # Stateless tasks, not an actor pool: tasks schedule elastically
+        # and reuse warm workers — no pool-startup serialization
+        # (measured 7.6s vs 13.7s at 32 CPUs)
         nblocks = override_num_blocks or len(pending)
-        # stateless tasks (not an actor pool): encode state is per-chunk by
-        # design, tasks schedule elastically and reuse warm workers — no
-        # pool-startup serialization (measured 7.6s vs 13.7s at 32 CPUs)
-        encoder = ChunkEncoder(
-            output_dir=output_dir,
-            rows_per_chunk=rows_per_chunk,
+        enc = encoder(
             skip_completed=resume,
-            compression=compression,
-            bloom_columns=bloom_columns,
-            codec_overrides=codec_overrides,
             # lang_local: the skew-aware layout WITHOUT a shuffle — each
             # task sorts its own shard by (lang, warc_ts) before
             # chunking: language-homogeneous chunks specialize the
@@ -185,95 +210,16 @@ def _encode_job_impl(
             # measured 0.3257 vs 0.3226 per-chunk ratio)
             local_sort=("lang", "warc_ts") if mode == "lang_local" else None,
         )
-        # whole blocks as batches: each task encodes a block's worth of
-        # chunk groups and packs them into ONE parquet file per shard
-        # (file count tracks task count, not chunk count — at 100 TB
-        # this is the difference between 10^6 and 10^8 output files)
-        if plan == "paths":
-            # plan from the file LIST: read_parquet's planning probes
-            # every footer on the driver (~2 ms/file — minutes at 10^5
-            # shards); PathPlanEncoder reads shards inside the tasks
-            from ..stages.encode import PathPlanEncoder
-
-            ds = ray.data.from_items(
-                [{"path": f} for f in pending],
-                override_num_blocks=max(1, min(nblocks, len(pending))),
-            )
-            lineage = ds.map_batches(
-                PathPlanEncoder(encoder, columns=columns),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
-            )
-        else:
-            ds = ray.data.read_parquet(
-                pending,
-                columns=columns,
-                include_paths=True,
-                override_num_blocks=nblocks,
-            )
-            lineage = ds.map_batches(
-                encoder,
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
-            )
-    elif mode == "actor_cached":
-        # actor pool with per-partition FSST/dict symbol-table state:
-        # each actor trains once and reuses its tables across batches
-        # (ChunkEncoder state semantics, SURVEY §2.6)
-        from ..stages.encode import CachedStateEncoder
-
-        pending = [f for f in input_files if Path(f).stem not in done]
-        skipped = len(input_files) - len(pending)
-        if not pending:
-            return {"rows": 0, "shards_skipped": skipped, "sec": 0.0}
-        nblocks = override_num_blocks or len(pending)
-        pool = max(2, min(16, concurrency))
-        cached_kwargs = {
-            "output_dir": output_dir,
-            "rows_per_chunk": rows_per_chunk,
-            "skip_completed": resume,
-            "compression": compression,
-            "bloom_columns": bloom_columns,
-            "codec_overrides": codec_overrides,
-        }
-        if plan == "paths":
-            # same driver-footer-free planning as the direct path; each
-            # ACTOR wraps its own CachedStateEncoder, so symbol-table
-            # state still lives and amortizes per actor
-            from ..stages.encode import PathPlanEncoder
-
-            ds = ray.data.from_items(
-                [{"path": f} for f in pending],
-                override_num_blocks=max(1, min(nblocks, len(pending))),
-            )
-            lineage = ds.map_batches(
-                PathPlanEncoder,
-                fn_constructor_kwargs={
-                    "encoder": CachedStateEncoder(**cached_kwargs),
-                    "columns": columns,
-                },
-                batch_format="pyarrow",
-                batch_size=None,
-                concurrency=pool,
-                zero_copy_batch=True,
-            )
-        else:
-            ds = ray.data.read_parquet(
-                pending,
-                columns=columns,
-                include_paths=True,
-                override_num_blocks=nblocks,
-            )
-            lineage = ds.map_batches(
-                CachedStateEncoder,
-                fn_constructor_kwargs=cached_kwargs,
-                batch_format="pyarrow",
-                batch_size=None,
-                concurrency=pool,
-                zero_copy_batch=True,
-            )
+        ds = ray.data.from_items(
+            [{"path": f} for f in pending],
+            override_num_blocks=max(1, min(nblocks, len(pending))),
+        )
+        lineage = ds.map_batches(
+            PathPlanEncoder(enc, columns=columns),
+            batch_format="pyarrow",
+            batch_size=None,
+            zero_copy_batch=True,
+        )
     elif mode == "sorted":
         # global sort by url before encoding (SURVEY §7.2 milestone 8):
         # one range-partitioned sample sort (the explicit wide shuffle),
@@ -282,24 +228,14 @@ def _encode_job_impl(
         from ..sources.pathwise import read_parquet_pathwise
 
         ds = read_parquet_pathwise(input_files, columns=columns)
-        encoder = ChunkEncoder(
-            output_dir=output_dir,
-            rows_per_chunk=rows_per_chunk,
-            skip_completed=False,
-            compression=compression,
-            bloom_columns=bloom_columns,
-            default_shard="sorted",
-        )
         # post-shuffle batches have no source file: name each call's
         # shard by content hash so every task commits its own manifest
-        encoder.shard_per_call = True
         lineage = ds.sort("url").map_batches(
-            encoder,
+            encoder(skip_completed=False, default_shard="sorted", shard_per_call=True),
             batch_format="pyarrow",
             batch_size=None,
             zero_copy_batch=True,
         )
-        skipped = 0
     elif mode == "zorder":
         # Z-ORDER BY clustering: one global sample sort on the Morton
         # interleave of two int-like columns, then encode. Chunk
@@ -361,27 +297,19 @@ def _encode_job_impl(
             return t.drop_columns(["_zkey"])
 
         ds = read_parquet_pathwise(input_files, columns=columns)
-        encoder = ChunkEncoder(
-            output_dir=output_dir,
-            rows_per_chunk=rows_per_chunk,
-            skip_completed=False,
-            compression=compression,
-            bloom_columns=bloom_columns,
-            default_shard="zorder",
-        )
-        encoder.shard_per_call = True
         lineage = (
             ds.map_batches(add_zkey, batch_format="pyarrow")
             .sort("_zkey")
             .map_batches(drop_zkey, batch_format="pyarrow", zero_copy_batch=True)
             .map_batches(
-                encoder,
+                encoder(
+                    skip_completed=False, default_shard="zorder", shard_per_call=True
+                ),
                 batch_format="pyarrow",
                 batch_size=None,
                 zero_copy_batch=True,
             )
         )
-        skipped = 0
     elif mode == "bucket":
         # hash-bucketed layout (the storage-partitioned-join producer):
         # one explicit groupby shuffle on bucket = hash(key) % B, after
@@ -394,63 +322,22 @@ def _encode_job_impl(
         from ..sources.pathwise import read_parquet_pathwise
 
         ds = read_parquet_pathwise(input_files, columns=columns)
-        job_epoch = t0
+        enc = encoder(skip_completed=resume)
 
         def add_bucket(batch: pa.Table) -> pa.Table:
             b = bucket_ids(batch.column(bucket_key), num_buckets)
             return batch.append_column("_bucket", pa.array(b, type=pa.int32()))
 
         def encode_bucket(group: pa.Table) -> pa.Table:
-            from ..codecs.registry import CODEC_IDS
-            from ..stages.encode import (
-                SUMMARY_SCHEMA,
-                _COLUMN_CACHE,
-                _dict_page_rows,
-                _namespace_cache,
-                summary_row,
-            )
-
-            bucket = group.column("_bucket")[0].as_py()
-            shard = f"bucket={bucket:05d}"
-            if resume and shard in manifest.completed_shards_cached(
-                output_dir, job_epoch
-            ):
-                return pa.table(
-                    {f.name: [] for f in SUMMARY_SCHEMA}, schema=SUMMARY_SCHEMA
-                )
-            group = group.drop_columns(["_bucket"])
-            # buckets are hash-mixed (no per-bucket content skew), so one
-            # per-store selection namespace serves every bucket a worker
-            # encodes; other stores on the same reused worker stay invisible
-            cache = _namespace_cache(_COLUMN_CACHE, f"bucket|{output_dir}")
-            overrides = {
-                k: CODEC_IDS[v] for k, v in (codec_overrides or {}).items()
-            }
-            shared: dict | None = {} if group.num_rows > rows_per_chunk else None
-            groups = []
-            for start in range(0, group.num_rows, rows_per_chunk):
-                piece = group.slice(start, rows_per_chunk)
-                groups.append(
-                    encode_table(
-                        piece,
-                        shard,
-                        codec_overrides=overrides,
-                        compression=compression,
-                        bloom_columns=bloom_columns,
-                        cache=cache,
-                        shared_dicts=shared,
-                    )
-                )
-            if shared:
-                groups.append(_dict_page_rows(shared, shard, compression))
-            chunks = write_chunk_file(pa.concat_tables(groups), output_dir)
-            lin = lineage_of(chunks)
             # one map_groups call owns its bucket entirely: manifest
-            # committed in-task, nothing further shuffles
-            manifest.record_shard_table(output_dir, shard, lin)
-            return pa.Table.from_pylist(
-                [summary_row(shard, lin, True)], schema=SUMMARY_SCHEMA
+            # committed in-task, nothing further shuffles. Buckets are
+            # hash-mixed (no per-bucket content skew), so the store's one
+            # selection cache serves every bucket a worker encodes
+            bucket = group.column("_bucket")[0].as_py()
+            row = enc.encode_shard(
+                group.drop_columns(["_bucket"]), f"bucket={bucket:05d}"
             )
+            return summary_table([] if row is None else [row])
 
         lineage = (
             ds.map_batches(
@@ -459,70 +346,11 @@ def _encode_job_impl(
             .groupby("_bucket")
             .map_groups(encode_bucket, batch_format="pyarrow")
         )
-        skipped = 0
     elif mode == "lang_salted":
         from ..sources.pathwise import read_parquet_pathwise
 
         ds = read_parquet_pathwise(input_files, columns=columns)
-        job_epoch = t0  # keys the workers' completed-shard cache per run
-
-        def encode_group(group: pa.Table) -> pa.Table:
-            from ..codecs.registry import CODEC_IDS
-            from ..stages.encode import (
-                SUMMARY_SCHEMA,
-                _dict_page_rows,
-                summary_row,
-            )
-
-            lang = group.column("lang")[0].as_py()
-            salt = group.column("_salt")[0].as_py()
-            shard = f"lang={lang}-s{salt:02d}"
-            # per-language selection cache (per worker): FSST tables
-            # specialize to the language whose partitions this worker
-            # encodes — the point of the salted layout — instead of one
-            # mixed-language table for all groups
-            cache = _SALTED_CACHES.setdefault(lang, {})
-            if resume and shard in manifest.completed_shards_cached(output_dir, job_epoch):
-                # resumed run: the shuffle re-ran but this partition's
-                # chunks are durable — skip the encode + write work
-                return pa.table(
-                    {f.name: [] for f in SUMMARY_SCHEMA}, schema=SUMMARY_SCHEMA
-                )
-            group = group.drop_columns(["_salt"])
-            overrides = {
-                k: CODEC_IDS[v] for k, v in (codec_overrides or {}).items()
-            }
-            # per-language shared dict pages: the whole (lang, salt)
-            # partition lands in ONE packed file, so dict-winning string
-            # columns write their accumulated per-language dictionary
-            # once per file instead of once per 4096-row chunk — the
-            # compression payoff that justifies the salted shuffle
-            shared: dict | None = {} if group.num_rows > rows_per_chunk else None
-            groups = []
-            for start in range(0, group.num_rows, rows_per_chunk):
-                piece = group.slice(start, rows_per_chunk)
-                groups.append(
-                    encode_table(
-                        piece,
-                        shard,
-                        codec_overrides=overrides,
-                        compression=compression,
-                        bloom_columns=bloom_columns,
-                        cache=cache,
-                        shared_dicts=shared,
-                    )
-                )
-            if shared:
-                groups.append(_dict_page_rows(shared, shard, compression))
-            chunks = write_chunk_file(pa.concat_tables(groups), output_dir)
-            lin = lineage_of(chunks)
-            # a map_groups call owns its (lang, salt) partition entirely:
-            # commit the manifest here — no further shuffle needed
-            manifest.record_shard_table(output_dir, shard, lin)
-            return pa.Table.from_pylist(
-                [summary_row(shard, lin, True)], schema=SUMMARY_SCHEMA
-            )
-
+        enc = encoder(skip_completed=resume)
         # adaptive salting: one tiny count-by-lang pass sizes each key's
         # partition count (hot keys split, rare keys stay whole)
         salt_map = _salt_counts(
@@ -536,9 +364,12 @@ def _encode_job_impl(
                 zero_copy_batch=True,
             )
             .groupby(["lang", "_salt"])
-            .map_groups(encode_group, batch_format="pyarrow")
+            .map_groups(
+                _encode_salted_group,
+                fn_kwargs={"encoder": enc},
+                batch_format="pyarrow",
+            )
         )
-        skipped = 0
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -549,8 +380,6 @@ def _encode_job_impl(
     summary = lineage.to_pandas()
     incomplete = summary[~summary["complete"]] if len(summary) else summary
     if len(incomplete):
-        from ..stages.encode import _table_from_ipc
-
         for shard, grp in incomplete.groupby("shard"):
             parts = [_table_from_ipc(b) for b in grp["lineage_ipc"]]
             manifest.record_shard_table(output_dir, shard, pa.concat_tables(parts))

@@ -442,7 +442,7 @@ def purge_tombstones(
 
     def purge_shard(batch: pa.Table) -> pa.Table:
         from ..stages.decode import decode_chunk_table
-        from ..stages.encode import ChunkEncoder, lineage_of, write_chunk_file
+        from ..stages.encode import ChunkEncoder
 
         out = []
         tb = ray.get(tombs_ref)
@@ -485,18 +485,13 @@ def purge_tombstones(
                 continue
             _write_members(store_dir, gid, [shard])
             if rows.num_rows:
-                enc = ChunkEncoder(
+                ChunkEncoder(
                     output_dir=store_dir,
                     rows_per_chunk=rows_per_chunk,
                     skip_completed=False,
                     compression=compression,
                     bloom_columns=bloom_cols,
-                )
-                chunks = pa.concat_tables(
-                    enc._encode_groups(rows, gid, enc._cache())
-                )
-                chunks = write_chunk_file(chunks, store_dir)
-                manifest.record_shard_table(store_dir, gid, lineage_of(chunks))
+                ).encode_shard(rows, gid)
             # (whole-shard deletion commits NO new manifest: dropping the
             # member is the entire change. A crash before the drop rolls
             # the intent back and the still-present tombstones keep reads

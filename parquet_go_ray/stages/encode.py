@@ -261,7 +261,7 @@ def _encode_column_cached(
     name: str,
     override: int | None,
     compression: str | None,
-    cache: dict[str, dict] | None,
+    cache: dict[str, dict],
     shared_dicts: dict | None = None,
 ) -> bytes:
     """Encode one column chunk, consulting/maintaining the selection cache.
@@ -273,9 +273,6 @@ def _encode_column_cached(
     re-selection reuses the previous FSST table as its trial table (a
     stale table only mis-ranks FSST itself, and only pessimistically;
     the periodic RESELECT_EVERY pass always retrains from scratch)."""
-    if cache is None:
-        ctx: dict = {}
-        return chunk_mod.encode_array(arr, override, compression, ctx)
     key = (name, str(arr.type))
     ent = cache.get(key)
     if ent is not None and override is not None and ent["codec"] != override:
@@ -330,17 +327,14 @@ def encode_table(
     codec_overrides: dict[str, int] | None = None,
     compression: str | None = None,
     bloom_columns: tuple[str, ...] = ("url",),
-    column_ctx: dict[str, dict] | None = None,
     cache: dict[str, dict] | None = None,
     shared_dicts: dict | None = None,
 ) -> pa.Table:
     """Encode all columns of a table slice into a chunk-record table.
 
-    column_ctx maps column name -> shared codec state (e.g. a cached
-    FSST symbol table held by a per-partition actor); `cache` is the
-    richer per-worker selection cache (codec id + ctx + drift guard);
-    `shared_dicts` (column -> DictState) enables file-level dict pages
-    for dict-winning string columns."""
+    `cache` is the per-worker selection cache (codec id + ctx + drift
+    guard); `shared_dicts` (column -> DictState) enables file-level dict
+    pages for dict-winning string columns."""
     cid = chunk_id_for(table)
     rows = {k: [] for k in CHUNK_SCHEMA.names}
     for i, name in enumerate(table.column_names):
@@ -352,8 +346,7 @@ def encode_table(
                 arr, name, codec, comp, cache, shared_dicts
             )
         else:
-            ctx = column_ctx.setdefault(name, {}) if column_ctx is not None else None
-            blob = chunk_mod.encode_array(arr, codec, comp, ctx)
+            blob = chunk_mod.encode_array(arr, codec, comp)
         vmin, vmax = _stat_bounds(arr)
         vsum = _stat_sum(arr)
         bloom = None
@@ -435,6 +428,10 @@ def summary_row(
     }
 
 
+def summary_table(rows: list[dict]) -> pa.Table:
+    return pa.Table.from_pylist(rows, schema=SUMMARY_SCHEMA)
+
+
 def write_chunk_file(chunks: pa.Table, output_dir: str) -> pa.Table:
     """Write one or many chunk groups of one shard as a single parquet
     file (atomic rename); file name = first chunk id, deterministic for
@@ -458,10 +455,11 @@ def write_chunk_file(chunks: pa.Table, output_dir: str) -> pa.Table:
 
 
 class ChunkEncoder:
-    """map_batches callable for the distributed encode stage. Passed as
-    an INSTANCE -> stateless Ray tasks (elastic, no pool startup); see
-    CachedStateEncoder for the actor-pool variant with cross-batch
-    symbol-table state.
+    """map_batches callable for the distributed encode stage, passed as
+    an INSTANCE -> stateless Ray tasks (elastic, no pool startup) whose
+    codec-selection state lives in the per-worker cache. `encode_shard`
+    is the whole-shard unit every store writer shares: the encode modes,
+    compaction and purge.
 
     output_dir=None  -> emit full chunk records (in-memory mode)
     output_dir=str   -> write chunk files, emit lineage records only
@@ -478,6 +476,7 @@ class ChunkEncoder:
         default_shard: str = "mem",
         max_chunk_bytes: int = 64 << 20,
         local_sort: tuple[str, ...] | None = None,
+        shard_per_call: bool = False,
     ):
         # local_sort: sort each task's shard rows by these keys BEFORE
         # chunking — an in-task O(shard log shard) sort with ZERO
@@ -502,7 +501,7 @@ class ChunkEncoder:
         # shard_per_call: name each call's output shard by its content
         # hash (for shuffled inputs like sorted mode, where every call
         # owns its rows exclusively and can commit its own manifest)
-        self.shard_per_call = False
+        self.shard_per_call = shard_per_call
         self.codec_overrides = {
             k: R.CODEC_IDS[v] for k, v in (codec_overrides or {}).items()
         }
@@ -529,6 +528,8 @@ class ChunkEncoder:
                     str(self.local_sort),
                 )
             )
+        # the store's completed shards, listed once per deserialized
+        # instance (once per task) on the first resume check
         self._completed: set[str] | None = None
 
     def _shard_done(self, shard: str) -> bool:
@@ -546,19 +547,23 @@ class ChunkEncoder:
         row_bytes = max(1, table.nbytes // table.num_rows)
         return max(1, min(self.rows_per_chunk, self.max_chunk_bytes // row_bytes))
 
-    def _cache(self) -> dict:
-        """The codec-selection cache: module-global (per worker process)
-        for the stateless-task form, namespaced by job so a reused
-        worker never bleeds one job's selections into another;
-        overridden per instance in the actor-pool form."""
-        return _namespace_cache(_COLUMN_CACHE, self.cache_namespace)
+    def _cache(self, run: str | None = None) -> dict:
+        """The worker's codec-selection cache under this store's
+        namespace, so a reused worker never bleeds one store's
+        selections into another: one cache for the whole store, or with
+        `run` (a key run such as a language) one cache per run, so each
+        language keeps its own specialized FSST tables."""
+        if run is None:
+            return _namespace_cache(_COLUMN_CACHE, self.cache_namespace)
+        return _namespace_cache(_LANG_CACHES, self.cache_namespace).setdefault(
+            f"run:{run}", {}
+        )
 
     def _encode_groups(
         self, group: pa.Table, shard: str, cache: dict
     ) -> list[pa.Table]:
         """Encode one shard group into chunk-record tables (the per-task
-        inner loop; subclasses re-partition the group first, e.g. by
-        language)."""
+        inner loop)."""
         if self.local_sort and group.num_rows:
             keys = [k for k in self.local_sort if k in group.column_names]
             if keys:
@@ -590,10 +595,7 @@ class ChunkEncoder:
                 # cached tables; a boundary chunk spanning several
                 # languages trains on its own mixed content instead of
                 # borrowing the leading language's table
-                run_key = f"{kc[0].as_py()}|{kc[-1].as_py()}"
-                piece_cache = _namespace_cache(
-                    _LANG_CACHES, self.cache_namespace
-                ).setdefault(f"run:{run_key}", {})
+                piece_cache = self._cache(f"{kc[0].as_py()}|{kc[-1].as_py()}")
             groups.append(
                 encode_table(
                     piece,
@@ -613,65 +615,58 @@ class ChunkEncoder:
         """True when this task's group is the entire input shard (checked
         against the source parquet footer), so the shard manifest can be
         committed in-task with no shuffle."""
-        if source_path is None:
+        if source_path is None or not self.output_dir:
             return False
         try:
             return pq.read_metadata(source_path).num_rows == n_rows
         except Exception:
             return False
 
+    def encode_shard(
+        self,
+        group: pa.Table,
+        shard: str,
+        complete: bool = True,
+        cache: dict | None = None,
+    ) -> dict | pa.Table | None:
+        """Encode one shard group end to end: skip it if resume finds it
+        done, chunk and encode it, write its chunk file, commit its
+        manifest when `complete` (the group is the whole shard; pieces
+        of a block-split shard leave the commit to the driver's lineage
+        merge) and return its summary row. Returns None for a skipped
+        shard and the chunk records in in-memory mode. `cache` replaces
+        the store's selection cache (e.g. a per-language one)."""
+        if self._shard_done(shard):
+            return None
+        if cache is None:
+            cache = self._cache()
+        chunks = pa.concat_tables(self._encode_groups(group, shard, cache))
+        if not self.output_dir:
+            return chunks
+        chunks = write_chunk_file(chunks, self.output_dir)
+        lineage = lineage_of(chunks)
+        if complete:
+            from ..state import manifest
+
+            manifest.record_shard_table(self.output_dir, shard, lineage)
+        return summary_row(shard, lineage, complete)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         outputs = []
-        summaries = []
-        cache = self._cache()
         for shard, source_path, group in split_by_shard(batch, self.default_shard):
-            if self._shard_done(shard):
-                continue
             if self.shard_per_call:
                 shard = f"{shard}-{chunk_id_for(group)}"
-            chunks = pa.concat_tables(self._encode_groups(group, shard, cache))
-            if self.output_dir:
-                chunks = write_chunk_file(chunks, self.output_dir)
-                lineage = lineage_of(chunks)
-                complete = self.shard_per_call or self._is_whole_shard(
-                    source_path, group.num_rows
-                )
-                if complete:
-                    from ..state import manifest
-
-                    manifest.record_shard_table(self.output_dir, shard, lineage)
-                summaries.append(summary_row(shard, lineage, complete))
-            else:
-                outputs.append(chunks)
+            complete = self.shard_per_call or self._is_whole_shard(
+                source_path, group.num_rows
+            )
+            out = self.encode_shard(group, shard, complete)
+            if out is not None:
+                outputs.append(out)
         if self.output_dir:
-            if not summaries:
-                return pa.table(
-                    {f.name: [] for f in SUMMARY_SCHEMA}, schema=SUMMARY_SCHEMA
-                )
-            return pa.Table.from_pylist(summaries, schema=SUMMARY_SCHEMA)
+            return summary_table(outputs)
         if not outputs:
-            return pa.table({f.name: [] for f in CHUNK_SCHEMA}, schema=CHUNK_SCHEMA)
+            return CHUNK_SCHEMA.empty_table()
         return pa.concat_tables(outputs)
-
-
-class CachedStateEncoder(ChunkEncoder):
-    """Actor-pool encode stage holding per-ACTOR symbol-table state (the
-    north star's 'actor pools holding per-partition FSST/dict
-    symbol-table state'; analogue of the reference's per-writerColumn
-    dictionary state, writer.go:340-347).
-
-    Functionally the same selection cache as the stateless form, but the
-    state lives on the actor instance, so its lifetime and locality are
-    explicit: with a key-partitioned input (e.g. lang_salted mode) each
-    actor's cache specializes to the partitions it owns."""
-
-    def __init__(self, *args, retrain_slack: float = RETRAIN_SLACK, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.retrain_slack = retrain_slack
-        self._actor_cache: dict[str, dict] = {}
-
-    def _cache(self) -> dict:
-        return self._actor_cache
 
 
 def _dict_page_rows(
@@ -767,9 +762,7 @@ class PathPlanEncoder:
                 t = pq.read_table(p, columns=self.columns)
                 outs.append(self.encoder(self._with_path(t, p)))
         if not outs:
-            return pa.table(
-                {f.name: [] for f in SUMMARY_SCHEMA}, schema=SUMMARY_SCHEMA
-            )
+            return summary_table([])
         return pa.concat_tables(outs)
 
 
@@ -793,8 +786,9 @@ def split_by_shard(batch: pa.Table, default_shard: str = "mem"):
         yield Path(p).stem, p, data.slice(int(a), int(b - a))
 
 
-# per-worker per-language-run selection caches for local-sorted encode
-# (workers are reused across tasks, so each language's tables amortize
-# over every chunk the worker encodes); namespaced per job like
-# _COLUMN_CACHE so reused workers never mix corpora
+# per-worker per-language-run selection caches for lang_local runs and
+# lang_salted partitions (workers are reused across tasks, so each
+# language's tables amortize over every chunk the worker encodes);
+# namespaced per store like _COLUMN_CACHE so reused workers never mix
+# corpora
 _LANG_CACHES: dict[str, dict] = {}

@@ -43,22 +43,6 @@ def completed_shards(output_dir: str) -> set[str]:
     }
 
 
-# worker-local cache: one filesystem listing per (worker, output_dir, job)
-# instead of one per task. The epoch (set by the driver per job run) keys
-# the cache so a worker surviving into a resumed job re-lists; within a
-# job, manifests are only written after encoding finishes, so the set is
-# static and a cached copy is always correct.
-_COMPLETED_CACHE: dict[tuple[str, float], set[str]] = {}
-
-
-def completed_shards_cached(output_dir: str, epoch: float = 0.0) -> set[str]:
-    key = (output_dir, epoch)
-    got = _COMPLETED_CACHE.get(key)
-    if got is None:
-        got = _COMPLETED_CACHE[key] = completed_shards(output_dir)
-    return got
-
-
 def record_shard_table(output_dir: str, shard: str, lineage) -> None:
     """record_shard over an Arrow lineage table (the in-task commit path:
     the encode task that owns a whole shard writes the manifest itself —

@@ -121,3 +121,32 @@ def test_compact_inconsistent_member_fails_loudly(store, ray_session):
     # members (with manifests) are all still present
     for m in plan[0]["members"]:
         assert (Path(store) / "_manifest" / f"{m}.json").exists()
+
+
+def test_compact_keeps_store_bloom_columns(ray_session, tmp_path):
+    """Compaction rewrites with the bloom sidecars the store was encoded
+    with (persisted in job meta), not the encoder default ("url",)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from parquet_go_ray.sources import webpages
+
+    files = []
+    for i in range(3):
+        p = str(tmp_path / f"web-{i:02d}.parquet")
+        pq.write_table(webpages.generate_shard(0.001, i, 200), p)
+        files.append(p)
+    out = str(tmp_path / "bstore")
+    encode_job(files, out, resume=False, bloom_columns=("url", "lang"))
+    res = compact_store(out, target_bytes=1 << 20)
+    assert res["groups"] == 1 and res["shards_removed"] == 3
+    chunks = pa.concat_tables(
+        pq.read_table(f, columns=["column", "bloom"])
+        for f in sorted((Path(out) / "data").glob("*/*.parquet"))
+    )
+    bloomed = {
+        c
+        for c, b in zip(chunks["column"].to_pylist(), chunks["bloom"].to_pylist())
+        if b is not None
+    }
+    assert bloomed == {"url", "lang"}

@@ -101,34 +101,20 @@ def test_lang_local_mode(ray_session, web_small, tmp_path):
     assert summary["enc_nbytes"] <= direct["enc_nbytes"] * 1.01
 
 
-def test_actor_cached_mode(ray_session, web_small, tmp_path):
-    import ray.data
-
-    from parquet_go_ray.pipelines.decode import decode_dataset
-    from parquet_go_ray.pipelines.encode import encode_job
-    from parquet_go_ray.pipelines.verify import verify_roundtrip
-
-    out = str(tmp_path / "enc_cached")
-    summary = encode_job(web_small, out, mode="actor_cached")
-    assert summary["rows"] == 6250
-    res = verify_roundtrip(ray.data.read_parquet(web_small), decode_dataset(out))
-    assert res["ok"], res
-
-
 def test_cached_encoder_reuses_and_retrains():
-    from parquet_go_ray.stages.encode import CachedStateEncoder
+    from parquet_go_ray.stages.encode import encode_table
 
-    enc = CachedStateEncoder(rows_per_chunk=512)
+    cache: dict = {}
     t1 = webpages.generate_shard(0.001, 0, 512)
-    enc(t1.select(["text", "url"]))
+    encode_table(t1.select(["text", "url"]), cache=cache)
     key = ("text", "string")  # cache entries key by (column, dtype)
-    ent1 = enc._actor_cache.get(key)
+    ent1 = cache.get(key)
     assert ent1 is not None
     table1 = ent1["ctx"].get("fsst_table")
     assert table1 is not None
-    enc(t1.select(["text", "url"]))
-    assert enc._actor_cache[key]["ctx"]["fsst_table"] is table1  # reused
-    assert enc._actor_cache[key]["uses"] >= 2
+    encode_table(t1.select(["text", "url"]), cache=cache)
+    assert cache[key]["ctx"]["fsst_table"] is table1  # reused
+    assert cache[key]["uses"] >= 2
     # radically different data (incompressible random hex, distinct per
     # row so neither dict nor the stale FSST table helps) -> the column
     # ratio degrades -> the drift guard drops the cache
@@ -146,10 +132,10 @@ def test_cached_encoder_reuses_and_retrains():
         }
     )
     for _ in range(3):
-        enc(rnd)
+        encode_table(rnd, cache=cache)
     # after the drift guard fires, the cache is either retrained (new
     # object) or dropped; it must not still be the stale table
-    ent = enc._actor_cache.get(key)
+    ent = cache.get(key)
     assert ent is None or ent["ctx"].get("fsst_table") is not table1
 
 
@@ -360,6 +346,55 @@ def test_bytes_capped_chunking():
     n_per_chunk = chunks.to_pandas().groupby("chunk_id")["n"].first()
     assert n_per_chunk.max() <= 16
     assert decode_chunk_table(chunks).equals(t)
+
+
+def test_encode_shard_bytes_capped(tmp_path):
+    """The whole-shard method every store writer calls (bucket and
+    lang_salted groups, compaction, purge) obeys the byte cap too."""
+    import numpy as np
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from parquet_go_ray.stages.decode import decode_chunk_table
+    from parquet_go_ray.stages.encode import ChunkEncoder
+
+    rng = np.random.default_rng(2)
+    payload = [rng.integers(0, 256, 1_000_000).astype(np.uint8).tobytes() for _ in range(40)]
+    t = pa.table({"id": list(range(40)), "blob": pa.array(payload, type=pa.large_binary())})
+    enc = ChunkEncoder(
+        output_dir=str(tmp_path), rows_per_chunk=4096, max_chunk_bytes=16 << 20
+    )
+    row = enc.encode_shard(t, "bucket=00000")
+    assert row["complete"] and row["rows"] == 40
+    (f,) = (tmp_path / "data" / "bucket=00000").glob("*.parquet")
+    chunks = pq.read_table(f)
+    data = chunks.filter(pc.greater_equal(chunks["col_idx"], 0))
+    n_per_chunk = data.to_pandas().groupby("chunk_id")["n"].first()
+    assert len(n_per_chunk) >= 3 and n_per_chunk.max() <= 16
+    assert decode_chunk_table(chunks).equals(t)
+
+
+def test_salted_cache_namespaced_per_store(tmp_path):
+    """lang_salted's per-language selection cache lives under the
+    store's namespace: a reused worker encoding the same language for
+    two stores keeps two caches, so one store's codec choices and FSST
+    tables never leak into the other."""
+    from parquet_go_ray.pipelines.encode import _encode_salted_group
+    from parquet_go_ray.stages.encode import ChunkEncoder
+
+    t = webpages.generate_shard(0.001, 0, 300)
+    n = t.num_rows
+    group = t.set_column(
+        t.schema.get_field_index("lang"), "lang", pa.array(["en"] * n)
+    ).append_column("_salt", pa.array([0] * n, type=pa.int32()))
+    encs = [ChunkEncoder(output_dir=str(tmp_path / d)) for d in ("a", "b")]
+    for enc in encs:
+        out = _encode_salted_group(group, enc)
+        assert out.column("shard").to_pylist() == ["lang=en-s00"]
+    a, b = (enc._cache("en") for enc in encs)
+    assert a is not b
+    assert ("text", "string") in a and ("text", "string") in b
+    assert a[("text", "string")]["ctx"] is not b[("text", "string")]["ctx"]
 
 
 def test_flipped_payload_byte_raises_chunk_error():

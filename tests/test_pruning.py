@@ -10,14 +10,24 @@ from parquet_go_ray.sources import webpages
 
 @pytest.fixture(scope="module")
 def encoded_store(ray_session, tmp_path_factory):
+    import pyarrow.parquet as pq
+
     from parquet_go_ray.pipelines.encode import encode_job
 
-    files = webpages.shard_files(webpages.ensure(0.001))
-    out = str(tmp_path_factory.mktemp("store") / "enc")
-    # sf0.001 is a single shard: split it into several blocks (ray
-    # planning) so the store has multiple chunk FILES with disjoint
-    # stats ranges — the thing file-level pruning needs to demonstrate
-    encode_job(files, out, rows_per_chunk=1024, plan="ray", override_num_blocks=8)
+    (shard,) = webpages.shard_files(webpages.ensure(0.001))
+    root = tmp_path_factory.mktemp("store")
+    # sf0.001 is a single shard: write it as 8 row-slice shards so the
+    # store has multiple chunk FILES with disjoint stats ranges — the
+    # thing file-level pruning needs to demonstrate
+    t = pq.read_table(shard)
+    step = -(-t.num_rows // 8)
+    files = []
+    for i in range(8):
+        p = str(root / f"slice-{i:02d}.parquet")
+        pq.write_table(t.slice(i * step, step), p)
+        files.append(p)
+    out = str(root / "enc")
+    encode_job(files, out, rows_per_chunk=1024)
     return files, out
 
 
