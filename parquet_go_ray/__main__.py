@@ -2,7 +2,7 @@
 
 Commands (the pipelines a reference user runs day-to-day):
 
-  encode   INPUT_DIR OUT_DIR [--mode direct|lang_local|lang_salted|sorted]
+  encode   INPUT_DIR OUT_DIR [--mode direct|lang_local|lang_salted]
            [--compression zstd|snappy|lz4|gzip] [--rows-per-chunk N]
            [--no-resume]
   decode   ENCODED_DIR OUT_DIR          # back to parquet
@@ -847,7 +847,7 @@ def main(argv=None) -> int:
     e.add_argument("input_dir")
     e.add_argument("out_dir")
     e.add_argument("--mode", default="direct",
-                   choices=["direct", "lang_local", "lang_salted", "sorted"])
+                   choices=["direct", "lang_local", "lang_salted"])
     e.add_argument(
         "--codec", action="append", default=[], metavar="COL=CODEC",
         help="per-column codec override (struct-tag parity, e.g. text=fsst)",

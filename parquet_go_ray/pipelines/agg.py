@@ -42,11 +42,7 @@ import ray.data
 def _manifest_files(store: str) -> list[str]:
     from ..state import manifest as M
 
-    return sorted(
-        str(p)
-        for p in M.manifest_dir(store).glob("*.parquet")
-        if not p.name.startswith(".")
-    )
+    return [str(p) for p in M.lineage_files(store)]
 
 
 def aggregate_meta(store: str, column: str) -> pa.Table:

@@ -107,11 +107,7 @@ def decode_dataset_pruned_distributed(
 
     from ..state import manifest as M
 
-    man_files = sorted(
-        str(p)
-        for p in M.manifest_dir(encoded_dir).glob("*.parquet")
-        if not p.name.startswith(".")
-    )
+    man_files = [str(p) for p in M.lineage_files(encoded_dir)]
     if not man_files:
         import pyarrow as pa
 

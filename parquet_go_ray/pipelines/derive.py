@@ -28,7 +28,6 @@ passes O(new column) instead of O(table).
 
 from __future__ import annotations
 
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,6 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..codecs import chunk as chunk_mod
-from ..codecs import registry as R
 
 
 def family_dir(store_dir: str, family: str) -> str:
@@ -105,8 +103,7 @@ def add_derived_columns(
     from ..state import manifest
     from ..stages.encode import (
         CHUNK_SCHEMA,
-        _stat_bounds,
-        _stat_sum,
+        chunk_record,
         lineage_of,
         summary_row,
         write_chunk_file,
@@ -146,7 +143,7 @@ def add_derived_columns(
                 chunks = pq.read_table(
                     path, filters=[("column", "in", read_cols)]
                 )
-                recs = {k: [] for k in CHUNK_SCHEMA.names}
+                recs = []
                 for cid, sub in _iter_groups(chunks):
                     inputs = _decode_group(sub, input_columns)
                     out_t = fn(inputs)
@@ -163,29 +160,15 @@ def add_derived_columns(
                     for j, col in enumerate(out_columns):
                         arr = out_t.column(col).combine_chunks()
                         blob = chunk_mod.encode_array(arr)
-                        vmin, vmax = _stat_bounds(arr)
-                        recs["chunk_id"].append(cid)
-                        recs["shard"].append(shard)
-                        recs["file"].append("")
                         # families sit above any base col_idx so zipped
                         # groups order base columns first, deterministically
-                        recs["col_idx"].append(1000 + j)
-                        recs["column"].append(col)
-                        recs["codec"].append(R.CODEC_NAMES[blob[4]])
-                        recs["n"].append(len(arr))
-                        recs["n_null"].append(arr.null_count)
-                        recs["raw_nbytes"].append(arr.nbytes)
-                        recs["enc_nbytes"].append(len(blob))
-                        recs["crc32"].append(zlib.crc32(blob))
-                        recs["vmin"].append(vmin)
-                        recs["vmax"].append(vmax)
-                        recs["vsum"].append(_stat_sum(arr))
-                        recs["bloom"].append(None)
-                        recs["payload"].append(blob)
+                        recs.append(
+                            chunk_record(cid, shard, 1000 + j, col, arr, blob)
+                        )
                     rows_n += out_t.num_rows
-                if not recs["chunk_id"]:
+                if not recs:
                     continue
-                t = pa.table(recs, schema=CHUNK_SCHEMA)
+                t = pa.Table.from_pylist(recs, schema=CHUNK_SCHEMA)
                 written = write_chunk_file(t, fam_dir)
                 lin = lineage_of(written)
                 shard_lineages.append(lin)

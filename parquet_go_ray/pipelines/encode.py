@@ -1,9 +1,11 @@
 """The encode job: web-page parquet -> encoded chunk store + manifest.
 
-Every mode ends in the same shard body, `ChunkEncoder.encode_shard`:
-resume check, chunking, encode, one packed chunk file per shard, the
-shard's manifest committed in-task, one summary row back to the driver.
-The modes differ only in how rows reach it.
+Every mode ends in the same shard body, `ChunkEncoder.encode_shard`,
+the one every chunk-store writer in the package uses: resume check,
+chunking, encode, one packed chunk file per shard, the shard's manifest
+committed in-task, one summary row back to the driver. The modes differ
+only in how rows reach it. (A globally url-sorted store is a
+range-merged one: `merge_store.merge_sorted_stores`.)
 
 Modes:
 - "direct" (default): input-shard-aligned, no shuffle; tasks get shard
@@ -21,7 +23,6 @@ Modes:
   partitions; each (lang, salt) group is a deterministic shard with
   denser per-language dictionaries/FSST tables; resumed runs re-shuffle
   but skip the encode+write work of durable partitions.
-- "sorted": global url sample-sort before encoding (front-coding case).
 - "zorder": global sample-sort on a Morton key over two int-like
   columns — range predicates on EITHER column prune chunk stats
   (Z-ORDER BY clustering; single-column sort helps only its own column).
@@ -50,12 +51,14 @@ from ..stages.encode import (
     ChunkEncoder,
     PathPlanEncoder,
     _table_from_ipc,
+    chunk_id_for,
     summary_table,
 )
 from ..state import manifest
 
 DEFAULT_ROWS_PER_CHUNK = 4096
 DEFAULT_SALTS = 8
+MODES = ("direct", "lang_local", "lang_salted", "zorder", "bucket")
 
 
 def _add_salt_arrow(batch: pa.Table, salt_map: dict[str, int]) -> pa.Table:
@@ -136,6 +139,8 @@ def _encode_job_impl(
     bucket_key: str = "url",
     num_buckets: int = 32,
 ) -> dict:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     t0 = time.time()
     input_files = sorted(input_files)
     if resume:
@@ -220,22 +225,6 @@ def _encode_job_impl(
             batch_size=None,
             zero_copy_batch=True,
         )
-    elif mode == "sorted":
-        # global sort by url before encoding (SURVEY §7.2 milestone 8):
-        # one range-partitioned sample sort (the explicit wide shuffle),
-        # after which DELTA_BYTE_ARRAY front-coding on url and denser
-        # text locality improve the ratio
-        from ..sources.pathwise import read_parquet_pathwise
-
-        ds = read_parquet_pathwise(input_files, columns=columns)
-        # post-shuffle batches have no source file: name each call's
-        # shard by content hash so every task commits its own manifest
-        lineage = ds.sort("url").map_batches(
-            encoder(skip_completed=False, default_shard="sorted", shard_per_call=True),
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
     elif mode == "zorder":
         # Z-ORDER BY clustering: one global sample sort on the Morton
         # interleave of two int-like columns, then encode. Chunk
@@ -293,18 +282,20 @@ def _encode_job_impl(
             key = morton_key(_quant(va, a_min, a_max), _quant(vb, b_min, b_max))
             return t.append_column("_zkey", pa.array(key, type=pa.int64()))
 
-        def drop_zkey(t: pa.Table) -> pa.Table:
-            return t.drop_columns(["_zkey"])
+        enc = encoder(skip_completed=False)
+
+        def encode_block(t: pa.Table) -> pa.Table:
+            # post-shuffle blocks have no source file: each block is a
+            # shard named by its content hash and commits its manifest
+            t = t.drop_columns(["_zkey"])
+            return summary_table([enc.encode_shard(t, f"zorder-{chunk_id_for(t)}")])
 
         ds = read_parquet_pathwise(input_files, columns=columns)
         lineage = (
             ds.map_batches(add_zkey, batch_format="pyarrow")
             .sort("_zkey")
-            .map_batches(drop_zkey, batch_format="pyarrow", zero_copy_batch=True)
             .map_batches(
-                encoder(
-                    skip_completed=False, default_shard="zorder", shard_per_call=True
-                ),
+                encode_block,
                 batch_format="pyarrow",
                 batch_size=None,
                 zero_copy_batch=True,
@@ -346,7 +337,7 @@ def _encode_job_impl(
             .groupby("_bucket")
             .map_groups(encode_bucket, batch_format="pyarrow")
         )
-    elif mode == "lang_salted":
+    else:  # lang_salted
         from ..sources.pathwise import read_parquet_pathwise
 
         ds = read_parquet_pathwise(input_files, columns=columns)
@@ -370,8 +361,6 @@ def _encode_job_impl(
                 batch_format="pyarrow",
             )
         )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     # Manifest commit: complete shards already wrote their manifests
     # inside the encode tasks (no shuffle); only block-split shards ride

@@ -156,21 +156,41 @@ def merge_sorted_stores(
             "bounds": list(bounds),
         },
     )
-    # ranges: (-inf, b0), [b0, b1), ... [bk, +inf]; nulls -> last range
+    done = set(manifest.completed_shards(out_dir)) if resume else set()
+    items = _range_items(metas, bounds, lambda i: f"range={i:05d}", done)
+    if not items:
+        return {"ranges": 0, "rows": 0, "skipped": len(done)}
+    summary = _encode_ranges(
+        items, out_dir, [key, *extra_sort_keys], tombs_ref, rows_per_chunk
+    )
+    return {
+        "ranges": int(len(summary)),
+        "rows": int(summary["rows"].sum()),
+        "enc_nbytes": int(summary["enc_nbytes"].sum()),
+        "skipped": len(done),
+    }
+
+
+def _range_items(
+    metas: dict[str, list[dict]], bounds: list, shard_of, done: set
+) -> list[dict]:
+    """One task item per key range (-inf, b0), [b0, b1), ... [bk, +inf]
+    whose shard (`shard_of(range index)`) is not in `done`: the
+    chunk files and chunk ids of every input store that intersect the
+    range. NULL keys route to the last range."""
     lows = [None] + list(bounds)
     highs = list(bounds) + [None]
-    done = set(manifest.completed_shards(out_dir)) if resume else set()
     items = []
     for i, (lo, hi) in enumerate(zip(lows, highs)):
-        shard = f"range={i:05d}"
+        shard = shard_of(i)
         if shard in done:
             continue
         last = hi is None
         per_store = []
-        for s in store_dirs:
+        for s, chunks in metas.items():
             wanted = [
                 c
-                for c in metas[s]
+                for c in chunks
                 # last range also takes every null-carrying chunk: its
                 # NULL rows belong here (nulls-last) even when its value
                 # range lands in an earlier range — the row filters keep
@@ -198,105 +218,93 @@ def merge_sorted_stores(
                     "sources": json.dumps(per_store),
                 }
             )
-    if not items:
-        return {"ranges": 0, "rows": 0, "skipped": len(done)}
+    return items
 
-    def merge_range(batch: pa.Table) -> pa.Table:
-        from ..stages.decode import decode_chunk_table
-        from ..stages.encode import (
-            SUMMARY_SCHEMA,
-            encode_table,
-            lineage_of,
-            summary_row,
-            write_chunk_file,
-        )
 
+def _range_rows(row: dict, key: str, all_tombs: dict) -> pa.Table | None:
+    """Decode one range item's rows: the listed chunks of every source
+    (with their files' dict pages), minus each source's tombstoned rows,
+    filtered to the range's [lo, hi) on `key`. None when nothing is
+    left."""
+    from ..stages.decode import decode_chunk_table
+
+    lo = json.loads(row["lo"])
+    hi = json.loads(row["hi"])
+    parts = []
+    for src in json.loads(row["sources"]):
+        ids = src["chunk_ids"] + ["__dict__"]
+        for path in src["paths"]:
+            t = pq.read_table(path, filters=[("chunk_id", "in", ids)])
+            if not t.num_rows:
+                continue
+            st = decode_chunk_table(t)
+            for tcol, vals in all_tombs.get(src["store"], {}).items():
+                if tcol in st.column_names:
+                    st = st.filter(
+                        pc.invert(pc.is_in(st.column(tcol), value_set=vals))
+                    )
+            parts.append(st)
+    if not parts:
+        return None
+    merged = pa.concat_tables(parts, promote_options="default")
+    col = merged.column(key)
+    if row["last"]:
+        if lo is None:  # single-range merge: everything is here
+            keep = None
+        else:
+            # Kleene OR: a NULL key compares to NULL, and the
+            # non-Kleene kernel would turn (True | NULL) into NULL,
+            # which filter() silently DROPS — losing every null row
+            keep = pc.or_kleene(
+                pc.is_null(col), pc.greater_equal(col, pa.scalar(lo))
+            )
+    else:
+        keep = pc.is_valid(col)
+        if lo is not None:
+            keep = pc.and_kleene(keep, pc.greater_equal(col, pa.scalar(lo)))
+        if hi is not None:
+            keep = pc.and_kleene(keep, pc.less(col, pa.scalar(hi)))
+    if keep is not None:
+        merged = merged.filter(keep)
+    return merged if merged.num_rows else None
+
+
+def _encode_ranges(
+    items: list[dict],
+    out_dir: str,
+    sort_keys: list[str],
+    tombs_ref,
+    rows_per_chunk: int,
+):
+    """One task per range item: decode its rows, sort them by
+    `sort_keys` (the range key first) and write them as the item's
+    shard through `encode_shard`, which commits its manifest in-task.
+    Returns the summary rows as a pandas frame."""
+    from ..stages.encode import ChunkEncoder, summary_table
+
+    enc = ChunkEncoder(
+        output_dir=out_dir,
+        rows_per_chunk=rows_per_chunk,
+        bloom_columns=(),
+        skip_completed=False,
+    )
+
+    def encode_range(batch: pa.Table) -> pa.Table:
+        all_tombs = ray.get(tombs_ref) if tombs_ref is not None else {}
         out = []
         for row in batch.to_pylist():
-            shard = row["shard"]
-            lo = json.loads(row["lo"])
-            hi = json.loads(row["hi"])
-            parts = []
-            all_tombs = ray.get(tombs_ref) if tombs_ref is not None else {}
-            for src in json.loads(row["sources"]):
-                ids = src["chunk_ids"] + ["__dict__"]
-                src_parts = []
-                for path in src["paths"]:
-                    t = pq.read_table(
-                        path, filters=[("chunk_id", "in", ids)]
-                    )
-                    if t.num_rows:
-                        src_parts.append(decode_chunk_table(t))
-                for st in src_parts:
-                    for tcol, vals in all_tombs.get(src["store"], {}).items():
-                        if tcol in st.column_names:
-                            st = st.filter(
-                                pc.invert(
-                                    pc.is_in(
-                                        st.column(tcol), value_set=vals
-                                    )
-                                )
-                            )
-                    parts.append(st)
-            if not parts:
+            rows = _range_rows(row, sort_keys[0], all_tombs)
+            if rows is None:
                 continue
-            merged = pa.concat_tables(parts, promote_options="default")
-            col = merged.column(key)
-            if row["last"]:
-                if lo is None:  # single-range merge: everything is here
-                    keep = None
-                else:
-                    # Kleene OR: a NULL key compares to NULL, and the
-                    # non-Kleene kernel would turn (True | NULL) into
-                    # NULL, which filter() silently DROPS — losing every
-                    # null row
-                    keep = pc.or_kleene(
-                        pc.is_null(col), pc.greater_equal(col, pa.scalar(lo))
-                    )
-            else:
-                keep = pc.is_valid(col)
-                if lo is not None:
-                    keep = pc.and_kleene(
-                        keep, pc.greater_equal(col, pa.scalar(lo))
-                    )
-                if hi is not None:
-                    keep = pc.and_kleene(keep, pc.less(col, pa.scalar(hi)))
-            if keep is not None:
-                merged = merged.filter(keep)
-            if merged.num_rows == 0:
-                continue
-            merged = merged.sort_by(
-                [(key, "ascending")]
-                + [(k, "ascending") for k in extra_sort_keys]
-            )
-            chunks = []
-            for start in range(0, merged.num_rows, rows_per_chunk):
-                chunks.append(
-                    encode_table(
-                        merged.slice(start, rows_per_chunk),
-                        shard,
-                        bloom_columns=(),
-                    )
-                )
-            from ..state import manifest as M
+            rows = rows.sort_by([(k, "ascending") for k in sort_keys])
+            out.append(enc.encode_shard(rows, row["shard"]))
+        return summary_table(out)
 
-            written = write_chunk_file(pa.concat_tables(chunks), out_dir)
-            lin = lineage_of(written)
-            M.record_shard_table(out_dir, shard, lin)
-            out.append(summary_row(shard, lin, True))
-        return pa.Table.from_pylist(out, schema=SUMMARY_SCHEMA)
-
-    summary = (
+    return (
         ray.data.from_items(items, override_num_blocks=len(items))
-        .map_batches(merge_range, batch_format="pyarrow", batch_size=None)
+        .map_batches(encode_range, batch_format="pyarrow", batch_size=None)
         .to_pandas()
     )
-    return {
-        "ranges": int(len(summary)),
-        "rows": int(summary["rows"].sum()),
-        "enc_nbytes": int(summary["enc_nbytes"].sum()),
-        "skipped": len(done),
-    }
 
 
 def _sorted_by(meta: dict) -> list[str]:
@@ -381,43 +389,8 @@ def merge_into(
             for p in sorted(_tomb_dir(s).glob("ts-*.parquet")):
                 h.update(p.name.encode())
         gen = h.hexdigest()[:8]
-    lows = [None] + list(bounds)
-    highs = list(bounds) + [None]
     done = set(manifest.completed_shards(out_dir))
-    items = []
-    for i, (lo, hi) in enumerate(zip(lows, highs)):
-        shard = f"range={i:05d}+g{gen}"
-        if shard in done:
-            continue
-        last = hi is None
-        per_store = []
-        for s in new_stores:
-            wanted = [
-                c
-                for c in metas[s]
-                if (c["has_null"] and last)
-                or (
-                    not c["all_null"]
-                    and (hi is None or c["vmin"] is None or c["vmin"] < hi)
-                    and (lo is None or c["vmax"] is None or c["vmax"] >= lo)
-                )
-            ]
-            paths = sorted({c["path"] for c in wanted})
-            ids = sorted({c["chunk_id"] for c in wanted})
-            if paths:
-                per_store.append(
-                    {"store": str(s), "paths": paths, "chunk_ids": ids}
-                )
-        if per_store:
-            items.append(
-                {
-                    "shard": shard,
-                    "lo": json.dumps(lo),
-                    "hi": json.dumps(hi),
-                    "last": last,
-                    "sources": json.dumps(per_store),
-                }
-            )
+    items = _range_items(metas, bounds, lambda i: f"range={i:05d}+g{gen}", done)
     if not items:
         # 'already_applied' (this exact content landed before, shards
         # committed) is a different answer from 'no matching rows'
@@ -430,83 +403,7 @@ def merge_into(
             "already_applied": applied,
         }
 
-    def ingest_range(batch: pa.Table) -> pa.Table:
-        from ..stages.decode import decode_chunk_table
-        from ..stages.encode import (
-            SUMMARY_SCHEMA,
-            encode_table,
-            lineage_of,
-            summary_row,
-            write_chunk_file,
-        )
-        from ..state import manifest as M
-
-        out = []
-        for row in batch.to_pylist():
-            shard = row["shard"]
-            lo = json.loads(row["lo"])
-            hi = json.loads(row["hi"])
-            parts = []
-            all_tombs = ray.get(tombs_ref) if tombs_ref is not None else {}
-            for src in json.loads(row["sources"]):
-                ids = src["chunk_ids"] + ["__dict__"]
-                for path in src["paths"]:
-                    t = pq.read_table(path, filters=[("chunk_id", "in", ids)])
-                    if not t.num_rows:
-                        continue
-                    st = decode_chunk_table(t)
-                    for tcol, vals in all_tombs.get(src["store"], {}).items():
-                        if tcol in st.column_names:
-                            st = st.filter(
-                                pc.invert(
-                                    pc.is_in(st.column(tcol), value_set=vals)
-                                )
-                            )
-                    parts.append(st)
-            if not parts:
-                continue
-            merged = pa.concat_tables(parts, promote_options="default")
-            col = merged.column(key)
-            if row["last"]:
-                if lo is None:
-                    keep = None
-                else:
-                    keep = pc.or_kleene(
-                        pc.is_null(col), pc.greater_equal(col, pa.scalar(lo))
-                    )
-            else:
-                keep = pc.is_valid(col)
-                if lo is not None:
-                    keep = pc.and_kleene(
-                        keep, pc.greater_equal(col, pa.scalar(lo))
-                    )
-                if hi is not None:
-                    keep = pc.and_kleene(keep, pc.less(col, pa.scalar(hi)))
-            if keep is not None:
-                merged = merged.filter(keep)
-            if merged.num_rows == 0:
-                continue
-            merged = merged.sort_by([(k, "ascending") for k in sort_keys])
-            chunks = []
-            for start in range(0, merged.num_rows, rows_per_chunk):
-                chunks.append(
-                    encode_table(
-                        merged.slice(start, rows_per_chunk),
-                        shard,
-                        bloom_columns=(),
-                    )
-                )
-            written = write_chunk_file(pa.concat_tables(chunks), out_dir)
-            lin = lineage_of(written)
-            M.record_shard_table(out_dir, shard, lin)
-            out.append(summary_row(shard, lin, True))
-        return pa.Table.from_pylist(out, schema=SUMMARY_SCHEMA)
-
-    summary = (
-        ray.data.from_items(items, override_num_blocks=len(items))
-        .map_batches(ingest_range, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-    )
+    summary = _encode_ranges(items, out_dir, sort_keys, tombs_ref, rows_per_chunk)
     return {
         "ranges": int(len(summary)),
         "rows": int(summary["rows"].sum()),
@@ -523,6 +420,7 @@ def compact_merged(out_dir: str, rows_per_chunk: int = 4096) -> dict:
     retries, query answers unchanged."""
     import hashlib
 
+    from ..stages.encode import ChunkEncoder
     from ..state import manifest
     from .compact import _drop_shard, _recover, _write_members
 
@@ -553,13 +451,15 @@ def compact_merged(out_dir: str, rows_per_chunk: int = 4096) -> dict:
         for b, ms in sorted(todo.items())
     ]
 
+    enc = ChunkEncoder(
+        output_dir=out_dir,
+        rows_per_chunk=rows_per_chunk,
+        bloom_columns=(),
+        skip_completed=False,
+    )
+
     def compact_range(batch: pa.Table) -> pa.Table:
         from ..stages.decode import decode_chunk_table
-        from ..stages.encode import (
-            encode_table,
-            lineage_of,
-            write_chunk_file,
-        )
         from ..state import manifest as M
 
         out = []
@@ -586,17 +486,7 @@ def compact_merged(out_dir: str, rows_per_chunk: int = 4096) -> dict:
                 [(k, "ascending") for k in sort_keys]
             )
             _write_members(out_dir, gid, members)
-            chunks = []
-            for start in range(0, rows_t.num_rows, rows_per_chunk):
-                chunks.append(
-                    encode_table(
-                        rows_t.slice(start, rows_per_chunk),
-                        gid,
-                        bloom_columns=(),
-                    )
-                )
-            written = write_chunk_file(pa.concat_tables(chunks), out_dir)
-            M.record_shard_table(out_dir, gid, lineage_of(written))
+            enc.encode_shard(rows_t, gid)
             for m in members:
                 _drop_shard(out_dir, m)
             (M.manifest_dir(out_dir) / f"{gid}.members.json").unlink()

@@ -153,18 +153,15 @@ def _make_encode_bucket(
     """Bucket-group encoder handling both shard families; `gen` suffixes
     shard names for incremental appends (unique manifest entries — an
     update never overwrites a base shard's manifest)."""
-    from ..stages.encode import (
-        SUMMARY_SCHEMA,
-        _COLUMN_CACHE,
-        _namespace_cache,
-        encode_table,
-        lineage_of,
-        summary_row,
-        write_chunk_file,
-    )
-    from ..state import manifest
+    from ..stages.encode import ChunkEncoder, summary_table
 
     suffix = f"+g{gen}" if gen else ""
+    enc = ChunkEncoder(
+        output_dir=out_dir,
+        rows_per_chunk=rows_per_chunk,
+        bloom_columns=(),
+        skip_completed=False,
+    )
 
     def encode_bucket(group: pa.Table) -> pa.Table:
         bucket = group.column("_bucket")[0].as_py()
@@ -178,23 +175,7 @@ def _make_encode_bucket(
             group = group.drop_columns(["_bucket"]).sort_by(
                 [("token", "ascending"), ("doc_id", "ascending")]
             )
-        cache = _namespace_cache(_COLUMN_CACHE, f"textindex|{out_dir}")
-        parts = []
-        for start in range(0, group.num_rows, rows_per_chunk):
-            parts.append(
-                encode_table(
-                    group.slice(start, rows_per_chunk),
-                    shard,
-                    bloom_columns=(),
-                    cache=cache,
-                )
-            )
-        chunks = write_chunk_file(pa.concat_tables(parts), out_dir)
-        lin = lineage_of(chunks)
-        manifest.record_shard_table(out_dir, shard, lin)
-        return pa.Table.from_pylist(
-            [summary_row(shard, lin, True)], schema=SUMMARY_SCHEMA
-        )
+        return summary_table([enc.encode_shard(group, shard)])
 
     return encode_bucket
 
@@ -698,6 +679,7 @@ def compact_index(index_dir: str, rows_per_chunk: int = 8192) -> dict:
     by construction; the meta constants don't move."""
     import hashlib
 
+    from ..stages.encode import ChunkEncoder
     from ..state import manifest
     from .compact import _drop_shard, _recover, _write_members
 
@@ -717,15 +699,15 @@ def compact_index(index_dir: str, rows_per_chunk: int = 8192) -> dict:
 
     items = [{"base": b, "members": ms} for b, ms in sorted(todo.items())]
 
+    enc = ChunkEncoder(
+        output_dir=index_dir,
+        rows_per_chunk=rows_per_chunk,
+        bloom_columns=(),
+        skip_completed=False,
+    )
+
     def compact_bucket(batch: pa.Table) -> pa.Table:
         from ..stages.decode import decode_chunk_table
-        from ..stages.encode import (
-            _COLUMN_CACHE,
-            _namespace_cache,
-            encode_table,
-            lineage_of,
-            write_chunk_file,
-        )
 
         out = []
         for row in batch.to_pylist():
@@ -760,19 +742,7 @@ def compact_index(index_dir: str, rows_per_chunk: int = 8192) -> dict:
             )
             rows_t = rows_t.sort_by(sort_keys)
             _write_members(index_dir, gid, members)
-            cache = _namespace_cache(_COLUMN_CACHE, f"textindex|{index_dir}")
-            chunks = []
-            for start in range(0, rows_t.num_rows, rows_per_chunk):
-                chunks.append(
-                    encode_table(
-                        rows_t.slice(start, rows_per_chunk),
-                        gid,
-                        bloom_columns=(),
-                        cache=cache,
-                    )
-                )
-            written = write_chunk_file(pa.concat_tables(chunks), index_dir)
-            manifest.record_shard_table(index_dir, gid, lineage_of(written))
+            enc.encode_shard(rows_t, gid)
             for m in members:
                 _drop_shard(index_dir, m)
             (manifest.manifest_dir(index_dir) / f"{gid}.members.json").unlink()

@@ -10,6 +10,21 @@ content-derived (sha1 over the IPC serialization of the whole slice —
 every column, offsets normalized), so task retries are idempotent and a
 resumed run reproduces identical ids for identical input slices.
 
+`ChunkEncoder.encode_shard` is the one shard body: resume check,
+chunking, encode, one chunk file, manifest commit, summary row. Its
+callers are every chunk-store writer in the package:
+- `PathPlanEncoder` (encode modes direct and lang_local) and
+  `ChunkEncoder.__call__` (in-memory encodes);
+- the zorder, bucket and lang_salted block and group bodies in
+  pipelines/encode.py;
+- `compact_store` and `purge_tombstones`;
+- `merge_sorted_stores`, `merge_into` and `compact_merged`
+  (pipelines/merge_store.py);
+- the text index's bucket encoder and `compact_index`.
+Derived-column families (pipelines/derive.py) write their own files,
+because their chunk ids and column slots come from the base store,
+but build their records with the same `chunk_record`.
+
 Codec selection state (the winning codec id + the trained FSST symbol
 table per column) is cached per worker process: Ray reuses workers
 across tasks, so the sampling/training cost is paid once per worker
@@ -72,43 +87,44 @@ _STAT_TRUNC = 64
 
 
 def _stat_bounds(arr: pa.Array):
-    """(vmin, vmax) as JSON strings, or (None, None) if not applicable."""
+    """(vmin, vmax) as JSON strings, or (None, None) for types without
+    min/max stats (time, duration, decimal, binary, nested)."""
     import json
 
     import pyarrow.compute as pc
 
-    ty = arr.type
     if len(arr) == arr.null_count:
         return None, None
-    try:
-        if pa.types.is_timestamp(ty):
-            ints = arr.view(pa.int64()) if ty.bit_width == 64 else arr
-            mm = pc.min_max(ints)
-            return json.dumps(mm["min"].as_py()), json.dumps(mm["max"].as_py())
-        if (
-            pa.types.is_integer(ty)
-            or pa.types.is_floating(ty)
-            or pa.types.is_date(ty)
-            or pa.types.is_boolean(ty)
-        ):
-            mm = pc.min_max(arr)
-            lo, hi = mm["min"].as_py(), mm["max"].as_py()
-            if pa.types.is_date(ty):
-                lo, hi = str(lo), str(hi)
-            return json.dumps(lo), json.dumps(hi)
-        if pa.types.is_string(ty) or pa.types.is_large_string(ty):
-            mm = pc.min_max(arr)
-            lo, hi = mm["min"].as_py(), mm["max"].as_py()
-            lo = lo[:_STAT_TRUNC]  # truncated min is still a lower bound
-            if len(hi) > _STAT_TRUNC:
-                hi = _truncate_upper(hi)
-                if hi is None:
-                    # every retained codepoint is U+10FFFF: no finite
-                    # truncated upper bound exists — treat as +inf
-                    return json.dumps(lo), None
-            return json.dumps(lo), json.dumps(hi)
-    except Exception:
-        pass
+    if pa.types.is_float16(arr.type):
+        # Arrow has no halffloat min_max kernel; float32 holds every
+        # half value exactly
+        arr = arr.cast(pa.float32())
+    ty = arr.type
+    if pa.types.is_timestamp(ty):
+        mm = pc.min_max(arr.view(pa.int64()))
+        return json.dumps(mm["min"].as_py()), json.dumps(mm["max"].as_py())
+    if (
+        pa.types.is_integer(ty)
+        or pa.types.is_floating(ty)
+        or pa.types.is_date(ty)
+        or pa.types.is_boolean(ty)
+    ):
+        mm = pc.min_max(arr)
+        lo, hi = mm["min"].as_py(), mm["max"].as_py()
+        if pa.types.is_date(ty):
+            lo, hi = str(lo), str(hi)
+        return json.dumps(lo), json.dumps(hi)
+    if pa.types.is_string(ty) or pa.types.is_large_string(ty):
+        mm = pc.min_max(arr)
+        lo, hi = mm["min"].as_py(), mm["max"].as_py()
+        lo = lo[:_STAT_TRUNC]  # truncated min is still a lower bound
+        if len(hi) > _STAT_TRUNC:
+            hi = _truncate_upper(hi)
+            if hi is None:
+                # every retained codepoint is U+10FFFF: no finite
+                # truncated upper bound exists — treat as +inf
+                return json.dumps(lo), None
+        return json.dumps(lo), json.dumps(hi)
     return None, None
 
 
@@ -120,16 +136,15 @@ def _stat_sum(arr: pa.Array):
 
     import pyarrow.compute as pc
 
-    ty = arr.type
     if len(arr) == arr.null_count:
         return json.dumps(0)
-    try:
-        if pa.types.is_integer(ty) or pa.types.is_boolean(ty):
-            return json.dumps(int(pc.sum(arr).as_py()))
-        if pa.types.is_floating(ty):
-            return json.dumps(float(pc.sum(arr).as_py()))
-    except Exception:
-        pass
+    if pa.types.is_float16(arr.type):
+        arr = arr.cast(pa.float32())  # no halffloat sum kernel either
+    ty = arr.type
+    if pa.types.is_integer(ty) or pa.types.is_boolean(ty):
+        return json.dumps(int(pc.sum(arr).as_py()))
+    if pa.types.is_floating(ty):
+        return json.dumps(float(pc.sum(arr).as_py()))
     return None
 
 
@@ -336,7 +351,7 @@ def encode_table(
     guard); `shared_dicts` (column -> DictState) enables file-level dict
     pages for dict-winning string columns."""
     cid = chunk_id_for(table)
-    rows = {k: [] for k in CHUNK_SCHEMA.names}
+    records = []
     for i, name in enumerate(table.column_names):
         arr = table.column(name).combine_chunks()
         codec = (codec_overrides or {}).get(name)
@@ -347,8 +362,6 @@ def encode_table(
             )
         else:
             blob = chunk_mod.encode_array(arr, codec, comp)
-        vmin, vmax = _stat_bounds(arr)
-        vsum = _stat_sum(arr)
         bloom = None
         if name in bloom_columns and table.num_rows:
             from ..functions.hashing import BloomFilter
@@ -356,23 +369,45 @@ def encode_table(
             vals = arr.drop_null().to_numpy(zero_copy_only=False)
             if len(vals):
                 bloom = BloomFilter(vals).to_bytes()
-        rows["chunk_id"].append(cid)
-        rows["shard"].append(shard)
-        rows["file"].append("")
-        rows["col_idx"].append(i)
-        rows["column"].append(name)
-        rows["codec"].append(R.CODEC_NAMES[blob[4]])
-        rows["n"].append(len(arr))
-        rows["n_null"].append(arr.null_count)
-        rows["raw_nbytes"].append(arr.nbytes)
-        rows["enc_nbytes"].append(len(blob))
-        rows["crc32"].append(zlib.crc32(blob))
-        rows["vmin"].append(vmin)
-        rows["vmax"].append(vmax)
-        rows["vsum"].append(vsum)
-        rows["bloom"].append(bloom)
-        rows["payload"].append(blob)
-    return pa.table(rows, schema=CHUNK_SCHEMA)
+        records.append(chunk_record(cid, shard, i, name, arr, blob, bloom=bloom))
+    return pa.Table.from_pylist(records, schema=CHUNK_SCHEMA)
+
+
+def chunk_record(
+    chunk_id: str,
+    shard: str,
+    col_idx: int,
+    column: str,
+    arr: pa.Array,
+    blob: bytes,
+    codec: str | None = None,
+    stats: bool = True,
+    bloom: bytes | None = None,
+) -> dict:
+    """One CHUNK_SCHEMA row for the encoded column chunk `blob` of
+    `arr` — the only place chunk records are built: data chunks
+    (encode_table), file-level dict pages (`codec="dict_page"`, no
+    stats) and derived-family chunks. `codec` defaults to the name of
+    the codec recorded in the blob; `file` is filled at write time."""
+    vmin, vmax = _stat_bounds(arr) if stats else (None, None)
+    return {
+        "chunk_id": chunk_id,
+        "shard": shard,
+        "file": "",
+        "col_idx": col_idx,
+        "column": column,
+        "codec": codec or R.CODEC_NAMES[blob[4]],
+        "n": len(arr),
+        "n_null": arr.null_count,
+        "raw_nbytes": arr.nbytes,
+        "enc_nbytes": len(blob),
+        "crc32": zlib.crc32(blob),
+        "vmin": vmin,
+        "vmax": vmax,
+        "vsum": _stat_sum(arr) if stats else None,
+        "bloom": bloom,
+        "payload": blob,
+    }
 
 
 def lineage_of(chunks: pa.Table) -> pa.Table:
@@ -458,8 +493,8 @@ class ChunkEncoder:
     """map_batches callable for the distributed encode stage, passed as
     an INSTANCE -> stateless Ray tasks (elastic, no pool startup) whose
     codec-selection state lives in the per-worker cache. `encode_shard`
-    is the whole-shard unit every store writer shares: the encode modes,
-    compaction and purge.
+    is the whole-shard unit every chunk-store writer shares (see the
+    module docstring for the list).
 
     output_dir=None  -> emit full chunk records (in-memory mode)
     output_dir=str   -> write chunk files, emit lineage records only
@@ -473,10 +508,8 @@ class ChunkEncoder:
         skip_completed: bool = True,
         compression: str | None = None,
         bloom_columns: tuple[str, ...] = ("url",),
-        default_shard: str = "mem",
         max_chunk_bytes: int = 64 << 20,
         local_sort: tuple[str, ...] | None = None,
-        shard_per_call: bool = False,
     ):
         # local_sort: sort each task's shard rows by these keys BEFORE
         # chunking — an in-task O(shard log shard) sort with ZERO
@@ -488,7 +521,6 @@ class ChunkEncoder:
         # column). Row order is not semantic for the corpus store and
         # the verify checksum is order-insensitive.
         self.local_sort = tuple(local_sort) if local_sort else None
-        self.default_shard = default_shard
         self.output_dir = output_dir
         self.rows_per_chunk = rows_per_chunk
         # wide-row guard: a chunk is capped by BYTES as well as rows, so
@@ -498,10 +530,6 @@ class ChunkEncoder:
         self.skip_completed = skip_completed
         self.compression = compression
         self.bloom_columns = tuple(bloom_columns)
-        # shard_per_call: name each call's output shard by its content
-        # hash (for shuffled inputs like sorted mode, where every call
-        # owns its rows exclusively and can commit its own manifest)
-        self.shard_per_call = shard_per_call
         self.codec_overrides = {
             k: R.CODEC_IDS[v] for k, v in (codec_overrides or {}).items()
         }
@@ -611,17 +639,6 @@ class ChunkEncoder:
             groups.append(_dict_page_rows(shared, shard, self.compression))
         return groups
 
-    def _is_whole_shard(self, source_path, n_rows: int) -> bool:
-        """True when this task's group is the entire input shard (checked
-        against the source parquet footer), so the shard manifest can be
-        committed in-task with no shuffle."""
-        if source_path is None or not self.output_dir:
-            return False
-        try:
-            return pq.read_metadata(source_path).num_rows == n_rows
-        except Exception:
-            return False
-
     def encode_shard(
         self,
         group: pa.Table,
@@ -653,13 +670,10 @@ class ChunkEncoder:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         outputs = []
-        for shard, source_path, group in split_by_shard(batch, self.default_shard):
-            if self.shard_per_call:
-                shard = f"{shard}-{chunk_id_for(group)}"
-            complete = self.shard_per_call or self._is_whole_shard(
-                source_path, group.num_rows
-            )
-            out = self.encode_shard(group, shard, complete)
+        for shard, _path, group in split_by_shard(batch):
+            # a row batch may be one block of a larger input file: its
+            # lineage rides back for the driver's merge to commit
+            out = self.encode_shard(group, shard, complete=False)
             if out is not None:
                 outputs.append(out)
         if self.output_dir:
@@ -675,31 +689,20 @@ def _dict_page_rows(
     """One dict-page row per shared-dict column: the accumulated
     dictionary values as a self-contained chunk, referenced by every
     dict_shared chunk in the same file."""
-    rows = {k: [] for k in CHUNK_SCHEMA.names}
+    records = []
     for name, st in shared.items():
         # a state exists only because some chunk was promoted to
         # dict_shared and references this page — emit it even when the
         # accumulated dictionary is empty (an all-null chunk run), or
         # that chunk becomes undecodable
-        values = st.values_array()
-        blob = chunk_mod.encode_array(values, None, _comp_for(compression, name))
-        rows["chunk_id"].append("__dict__")
-        rows["shard"].append(shard)
-        rows["file"].append("")
-        rows["col_idx"].append(-1)
-        rows["column"].append(name)
-        rows["codec"].append("dict_page")
-        rows["n"].append(len(values))
-        rows["n_null"].append(0)
-        rows["raw_nbytes"].append(values.nbytes)
-        rows["enc_nbytes"].append(len(blob))
-        rows["crc32"].append(zlib.crc32(blob))
-        rows["vmin"].append(None)
-        rows["vmax"].append(None)
-        rows["vsum"].append(None)
-        rows["bloom"].append(None)
-        rows["payload"].append(blob)
-    return pa.table(rows, schema=CHUNK_SCHEMA)
+        vals = st.values_array()
+        blob = chunk_mod.encode_array(vals, None, _comp_for(compression, name))
+        records.append(
+            chunk_record(
+                "__dict__", shard, -1, name, vals, blob, codec="dict_page", stats=False
+            )
+        )
+    return pa.Table.from_pylist(records, schema=CHUNK_SCHEMA)
 
 
 def _lineage_schema() -> pa.Schema:
@@ -711,7 +714,9 @@ def _lineage_schema() -> pa.Schema:
 class PathPlanEncoder:
     """Encode stage for PATH-planned jobs: the task receives shard PATHS
     (not rows) and reads each shard itself before handing it to the
-    wrapped ChunkEncoder — one shard in memory at a time.
+    wrapped ChunkEncoder's `encode_shard` — one shard in memory at a
+    time. The footer it reads to size the shard also tells it whether
+    the rows it encodes are the whole shard.
 
     Why: ray.data.read_parquet's planning probes every file's footer on
     the DRIVER (~2 ms/file measured) — a serial stall that reaches
@@ -736,15 +741,8 @@ class PathPlanEncoder:
         # driver's existing block-split manifest merge completes it
         self.max_task_bytes = max_task_bytes
 
-    def _with_path(self, t: pa.Table, p: str) -> pa.Table:
-        return t.append_column(
-            "path", pa.array([p] * t.num_rows, type=pa.string())
-        )
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        outs = []
+        rows = []
         for p in batch.column("path").to_pylist():
             md = pq.read_metadata(p)
             total = sum(
@@ -752,18 +750,24 @@ class PathPlanEncoder:
             )
             if total > self.max_task_bytes and md.num_row_groups > 1:
                 f = pq.ParquetFile(p)
-                for g in range(md.num_row_groups):
-                    piece = f.read_row_group(g, columns=self.columns)
-                    # piece rows != footer rows -> encoder marks the
-                    # lineage incomplete; the driver merge commits the
-                    # shard manifest once every piece arrived
-                    outs.append(self.encoder(self._with_path(piece, p)))
+                pieces = (
+                    f.read_row_group(g, columns=self.columns)
+                    for g in range(md.num_row_groups)
+                )
             else:
-                t = pq.read_table(p, columns=self.columns)
-                outs.append(self.encoder(self._with_path(t, p)))
-        if not outs:
-            return summary_table([])
-        return pa.concat_tables(outs)
+                pieces = [pq.read_table(p, columns=self.columns)]
+            for piece in pieces:
+                if not piece.num_rows:
+                    continue
+                # a row-group piece is not the whole shard: its lineage
+                # rides back incomplete and the driver's merge commits
+                # the shard manifest once every piece arrived
+                row = self.encoder.encode_shard(
+                    piece, Path(p).stem, complete=piece.num_rows == md.num_rows
+                )
+                if row is not None:
+                    rows.append(row)
+        return summary_table(rows)
 
 
 def split_by_shard(batch: pa.Table, default_shard: str = "mem"):

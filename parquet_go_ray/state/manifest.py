@@ -75,6 +75,36 @@ def record_shard(output_dir: str, shard: str, records: list[dict]) -> None:
     os.replace(tmp, d / f"{shard}.json")
 
 
+def _half_rewritten(d: Path) -> set[str]:
+    """Shards whose parquet twin a reader must not see because a rewrite
+    (compaction, purge, generation fold) crashed between its steps: the
+    members of an intent log `<g>.members.json` once `<g>.json` is
+    committed (their rows now live in `g`), and `g` itself while it is
+    not (its twin may be written, its commit marker is not)."""
+    hidden: set[str] = set()
+    for p in d.glob("*.members.json"):
+        group = p.name[: -len(".members.json")]
+        if (d / f"{group}.json").exists():
+            try:
+                hidden.update(json.loads(p.read_text()))
+            except FileNotFoundError:  # the rewrite finished meanwhile
+                pass
+        else:
+            hidden.add(group)
+    return hidden
+
+
+def lineage_files(output_dir: str) -> list[Path]:
+    """The parquet lineage twins a reader may trust, sorted: every
+    committed shard's, none of a half-finished rewrite's. (A rewrite
+    that commits while this runs can still be seen torn; only an
+    ordered commit log closes that window.)"""
+    d = manifest_dir(output_dir)
+    files = sorted(p for p in d.glob("*.parquet") if not p.name.startswith("."))
+    hidden = _half_rewritten(d)
+    return [p for p in files if p.stem not in hidden]
+
+
 def lineage_table(
     output_dir: str,
     columns: list[str] | None = None,
@@ -84,13 +114,13 @@ def lineage_table(
     row-filtered read of the parquet manifests — at 10^12 docs the
     manifest is itself a queryable table and predicate pushdown keeps
     only matching rows in memory)."""
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
-    d = manifest_dir(output_dir)
-    files = sorted(p for p in d.glob("*.parquet") if not p.name.startswith("."))
-    import pyarrow as pa
-
-    tables = [pq.read_table(f, columns=columns, filters=filters) for f in files]
+    tables = [
+        pq.read_table(f, columns=columns, filters=filters)
+        for f in lineage_files(output_dir)
+    ]
     return pa.concat_tables(tables) if tables else None
 
 
@@ -120,6 +150,8 @@ def shard_file_map(
     # legacy/json-only manifests have no parquet twin: fall back to the
     # shard's recorded JSON lineage before ever touching the filesystem
     missing = (wanted or set()) - set(out)
+    if missing:
+        missing -= _half_rewritten(manifest_dir(output_dir))
     for s in missing:
         p = manifest_dir(output_dir) / f"{s}.json"
         if p.exists():

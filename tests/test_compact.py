@@ -76,6 +76,61 @@ def test_compact_resumes_crashed_deletion(store, ray_session):
     assert dataset_checksum(decode_dataset(store)) == before
 
 
+def _save_shard(store, shard, backup):
+    man = Path(store) / "_manifest"
+    shutil.copytree(Path(store) / "data" / shard, backup / shard / "data")
+    for suffix in (".json", ".parquet"):
+        shutil.copy(man / f"{shard}{suffix}", backup / shard / f"m{suffix}")
+
+
+def _restore_shard(store, shard, backup):
+    man = Path(store) / "_manifest"
+    shutil.copytree(backup / shard / "data", Path(store) / "data" / shard)
+    for suffix in (".json", ".parquet"):
+        shutil.copy(backup / shard / f"m{suffix}", man / f"{shard}{suffix}")
+
+
+def test_readers_skip_members_of_committed_group(store, ray_session):
+    """Crash between a group's commit and its member deletion: a reader
+    must not see a put-back member next to the group that already holds
+    its rows, before any recovery runs."""
+    import json
+
+    before = dataset_checksum(decode_dataset(store))
+    plan = _plan_groups(store, 1 << 20, 2)
+    group, members = plan[0]["group"], plan[0]["members"]
+    backup = Path(store).parent / "bk"
+    _save_shard(store, members[0], backup)
+    compact_store(store, target_bytes=1 << 20)
+    _restore_shard(store, members[0], backup)
+    (Path(store) / "_manifest" / f"{group}.members.json").write_text(
+        json.dumps(members)
+    )
+    assert dataset_checksum(decode_dataset(store)) == before
+
+
+def test_readers_skip_uncommitted_group(store, ray_session):
+    """Crash after a group's lineage twin is written but before its
+    commit marker: the members still hold every row, so the group's
+    twin must stay invisible to readers."""
+    import json
+
+    before = dataset_checksum(decode_dataset(store))
+    plan = _plan_groups(store, 1 << 20, 2)
+    group, members = plan[0]["group"], plan[0]["members"]
+    backup = Path(store).parent / "bk"
+    for m in members:
+        _save_shard(store, m, backup)
+    compact_store(store, target_bytes=1 << 20)
+    for m in members:
+        _restore_shard(store, m, backup)
+    man = Path(store) / "_manifest"
+    (man / f"{group}.json").unlink()
+    (man / f"{group}.members.json").write_text(json.dumps(members))
+    assert (man / f"{group}.parquet").exists()
+    assert dataset_checksum(decode_dataset(store)) == before
+
+
 def test_compact_rolls_back_uncommitted_group(store, ray_session):
     import json
 

@@ -87,21 +87,37 @@ def test_native_numpy_cross_compat():
     assert len(native_stream) == len(numpy_stream)
 
 
-def test_native_kernel_loads_when_compiler_present():
-    """With a compiler on PATH the FSST kernels must load: the numpy
+# every C kernel and the symbols its Python callers look up
+_NATIVE_KERNELS = {
+    "_delta_native.c": ("dba_decode",),
+    "_fsst_native.c": ("fsst_encode", "fsst_decode", "fsst_train"),
+    "_hash_native.c": (
+        "fnv1a_segments",
+        "xxhash64_segments",
+        "winnow_segments",
+        "simhash_accumulate",
+        "minhash_segments",
+    ),
+    "_plain_native.c": ("plain_ba_offsets", "plain_ba_compact"),
+}
+
+
+@pytest.mark.parametrize("src_name", sorted(_NATIVE_KERNELS))
+def test_native_kernel_loads_when_compiler_present(src_name):
+    """With a compiler on PATH every C kernel must load: the numpy
     fallback would otherwise hide a C source that does not build."""
     if shutil.which("cc") is None:
         pytest.skip("no system compiler available")
-    lib = fsst._native()
+    lib = native.load(src_name)
     if lib is None:
-        src = Path(fsst.__file__).with_name("_fsst_native.c")
+        src = Path(native.__file__).with_name(src_name)
         r = subprocess.run(
             ["cc", "-O2", "-shared", "-fPIC", "-o", os.devnull, str(src)],
             capture_output=True,
             text=True,
         )
-        pytest.fail(f"_fsst_native.c did not load; cc says:\n{r.stderr}")
-    for fn in ("fsst_encode", "fsst_decode", "fsst_train"):
+        pytest.fail(f"{src_name} did not load; cc says:\n{r.stderr}")
+    for fn in _NATIVE_KERNELS[src_name]:
         assert hasattr(lib, fn), fn
 
 

@@ -154,25 +154,70 @@ def test_compressed_encode_job(ray_session, web_small, tmp_path):
     assert summary["enc_nbytes"] < summary["raw_nbytes"] * 0.45
 
 
-def test_sorted_mode(ray_session, web_small, tmp_path):
-    import ray.data
-
-    from parquet_go_ray.pipelines.decode import decode_dataset
+def test_sorted_mode_is_gone(tmp_path):
+    """A globally sorted store is a range-merged one; encode_job refuses
+    the old mode before it writes anything."""
     from parquet_go_ray.pipelines.encode import encode_job
-    from parquet_go_ray.pipelines.verify import verify_roundtrip
+
+    out = tmp_path / "enc_sorted"
+    with pytest.raises(ValueError, match="unknown mode 'sorted'"):
+        encode_job([], str(out), mode="sorted")
+    assert not out.exists()
+
+
+def test_merged_store_shares_dict_pages(ray_session, tmp_path):
+    """merge_sorted_stores writes through the shared shard body: a
+    low-cardinality string column is stored as dict_shared chunks with
+    one dict page per chunk file, and the store decodes to its input."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from parquet_go_ray.codecs import registry as R
+    from parquet_go_ray.pipelines.encode import encode_job
+    from parquet_go_ray.pipelines.merge_store import (
+        merge_sorted_stores,
+        read_merged_sorted,
+    )
     from parquet_go_ray.state import manifest
 
-    out = str(tmp_path / "enc_sorted")
-    summary = encode_job(web_small, out, mode="sorted")
-    assert summary["rows"] == 6250
-    res = verify_roundtrip(ray.data.read_parquet(web_small), decode_dataset(out))
-    assert res["ok"], res
-    # the selector still runs per chunk — whatever wins must be a string
-    # codec, and the lineage must carry the sorted shard name
-    t = manifest.lineage_table(out, columns=["shard", "column", "codec"]).to_pandas()
-    url_codecs = set(t[t["column"] == "url"]["codec"])
-    assert url_codecs <= {"delta_byte_array", "fsst", "dict", "delta_length_byte_array", "plain"}
-    assert all(s.startswith("sorted") for s in set(t["shard"]))
+    rng = np.random.default_rng(5)
+    stores, frames = [], []
+    for name, ids in (("a", np.arange(700)), ("b", np.arange(1000, 1500))):
+        t = pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "k": pa.array(rng.integers(0, 100, len(ids)), pa.int64()),
+                "lang": pa.array(rng.choice(["en", "de", "fr", "ja"], len(ids))),
+            }
+        )
+        p = str(tmp_path / f"{name}.parquet")
+        pq.write_table(t, p)
+        out = str(tmp_path / f"{name}_store")
+        encode_job([p], out, rows_per_chunk=64, bloom_columns=())
+        stores.append(out)
+        frames.append(t.to_pandas())
+    merged = str(tmp_path / "merged")
+    merge_sorted_stores(stores, merged, "k", num_ranges=2, rows_per_chunk=64)
+
+    lin = manifest.lineage_table(
+        merged, columns=["shard", "file", "column", "codec"]
+    ).to_pandas()
+    langs = lin[lin["column"] == "lang"]
+    assert "dict_shared" in set(langs["codec"])
+    pages = langs[langs["codec"] == "dict_page"].groupby(["shard", "file"]).size()
+    assert len(pages) == lin.groupby(["shard", "file"]).ngroups
+    assert set(pages) == {1}
+    # string chunks only ever get byte-array codecs
+    byte_array = {R.CODEC_NAMES[c] for c in R.SUPPORTED[R.BYTE_ARRAY]}
+    assert set(langs["codec"]) <= byte_array | {"dict_shared", "dict_page"}
+
+    got = read_merged_sorted(merged).to_pandas()
+    want = pd.concat(frames, ignore_index=True)
+    pd.testing.assert_frame_equal(
+        got.sort_values("doc_id", ignore_index=True)[list(want.columns)],
+        want.sort_values("doc_id", ignore_index=True),
+    )
 
 
 def test_salted_resume_skips(ray_session, web_small, tmp_path):
