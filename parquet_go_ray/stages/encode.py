@@ -26,12 +26,15 @@ because their chunk ids and column slots come from the base store,
 but build their records with the same `chunk_record`.
 
 Codec selection state (the winning codec id + the trained FSST symbol
-table per column) is cached per worker process: Ray reuses workers
-across tasks, so the sampling/training cost is paid once per worker
-instead of once per 4096-row chunk — the load-once-per-actor pattern,
-without requiring an actor pool. A drift guard re-runs selection when a
-chunk's ratio degrades vs the ratio at selection time, and every
-RESELECT_EVERY chunks regardless.
+table per column) is cached, so the sampling/training cost is paid once
+per cache instead of once per 4096-row chunk. `PathPlanEncoder` keeps
+one cache per task, over the task's shards in plan order, so a store's
+bytes depend on the plan alone, never on which reused worker ran which
+task; the other writers use the per-worker cache under the store's
+namespace (Ray reuses workers across tasks — the load-once-per-actor
+pattern, without requiring an actor pool). A drift guard re-runs
+selection when a chunk's ratio degrades vs the ratio at selection time,
+and every RESELECT_EVERY chunks regardless.
 """
 
 from __future__ import annotations
@@ -259,6 +262,14 @@ def _namespace_cache(store: dict[str, dict], ns: str) -> dict:
             store.pop(next(iter(store)))
         cache = store[ns] = {}
     return cache
+
+
+def _run_cache(cache: dict, run: str) -> dict:
+    """The selection cache of one key run (a language) inside `cache`,
+    so each run's tables amortize over every chunk of that run the
+    owner of `cache` encodes. Column entries are keyed (name, type), so
+    a ("run", ...) key never collides with one."""
+    return cache.setdefault(("run", run), {})
 
 
 def _comp_for(compression, name: str) -> str | None:
@@ -544,7 +555,8 @@ class ChunkEncoder:
         # worker's first chunks for nothing (the drift guard still
         # catches a store whose content genuinely changed).
         # In-memory jobs (output_dir=None) have no store identity and
-        # get a fresh nonce.
+        # get a fresh nonce. PathPlanEncoder passes a per-task cache
+        # instead, so the direct path's bytes follow from its plan.
         if output_dir is None:
             self.cache_namespace = uuid.uuid4().hex
         else:
@@ -581,11 +593,8 @@ class ChunkEncoder:
         selections into another: one cache for the whole store, or with
         `run` (a key run such as a language) one cache per run, so each
         language keeps its own specialized FSST tables."""
-        if run is None:
-            return _namespace_cache(_COLUMN_CACHE, self.cache_namespace)
-        return _namespace_cache(_LANG_CACHES, self.cache_namespace).setdefault(
-            f"run:{run}", {}
-        )
+        cache = _namespace_cache(_COLUMN_CACHE, self.cache_namespace)
+        return cache if run is None else _run_cache(cache, run)
 
     def _encode_groups(
         self, group: pa.Table, shard: str, cache: dict
@@ -623,7 +632,7 @@ class ChunkEncoder:
                 # cached tables; a boundary chunk spanning several
                 # languages trains on its own mixed content instead of
                 # borrowing the leading language's table
-                piece_cache = self._cache(f"{kc[0].as_py()}|{kc[-1].as_py()}")
+                piece_cache = _run_cache(cache, f"{kc[0].as_py()}|{kc[-1].as_py()}")
             groups.append(
                 encode_table(
                     piece,
@@ -716,7 +725,10 @@ class PathPlanEncoder:
     (not rows) and reads each shard itself before handing it to the
     wrapped ChunkEncoder's `encode_shard` — one shard in memory at a
     time. The footer it reads to size the shard also tells it whether
-    the rows it encodes are the whole shard.
+    the rows it encodes are the whole shard. Selection state lives for
+    one call (one task): its shards share one cache in path order, so
+    their bytes follow from the plan, not from which worker ran the
+    task or what that worker encoded before.
 
     Why: ray.data.read_parquet's planning probes every file's footer on
     the DRIVER (~2 ms/file measured) — a serial stall that reaches
@@ -743,6 +755,7 @@ class PathPlanEncoder:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = []
+        cache: dict = {}
         for p in batch.column("path").to_pylist():
             md = pq.read_metadata(p)
             total = sum(
@@ -763,7 +776,10 @@ class PathPlanEncoder:
                 # rides back incomplete and the driver's merge commits
                 # the shard manifest once every piece arrived
                 row = self.encoder.encode_shard(
-                    piece, Path(p).stem, complete=piece.num_rows == md.num_rows
+                    piece,
+                    Path(p).stem,
+                    complete=piece.num_rows == md.num_rows,
+                    cache=cache,
                 )
                 if row is not None:
                     rows.append(row)
@@ -788,11 +804,3 @@ def split_by_shard(batch: pa.Table, default_shard: str = "mem"):
     for a, b in zip(starts[:-1], starts[1:]):
         p = paths[a]
         yield Path(p).stem, p, data.slice(int(a), int(b - a))
-
-
-# per-worker per-language-run selection caches for lang_local runs and
-# lang_salted partitions (workers are reused across tasks, so each
-# language's tables amortize over every chunk the worker encodes);
-# namespaced per store like _COLUMN_CACHE so reused workers never mix
-# corpora
-_LANG_CACHES: dict[str, dict] = {}

@@ -658,6 +658,31 @@ def test_codec_cache_isolated_across_jobs(ray_session, tmp_path):
     assert poisoned_b == standalone_b
 
 
+def test_lang_local_bytes_independent_of_worker_history(ray_session, tmp_path):
+    """lang_local's per-language caches live for one task like the
+    direct path's: re-encoding the same shards into fresh stores, once
+    on cold workers and then on workers warmed by the earlier jobs,
+    gives identical lineage every time."""
+    import pyarrow.parquet as pq
+
+    from parquet_go_ray.pipelines.encode import encode_job
+    from parquet_go_ray.state import manifest
+
+    files = []
+    for i in range(8):
+        f = str(tmp_path / f"in{i}.parquet")
+        pq.write_table(webpages.generate_shard(0.001, i, 300), f)
+        files.append(f)
+    cols = ["shard", "chunk_id", "column", "codec", "enc_nbytes", "crc32"]
+    runs = []
+    for r in range(3):
+        out = str(tmp_path / f"store{r}")
+        encode_job(files, out, mode="lang_local", rows_per_chunk=128)
+        t = manifest.lineage_table(out, columns=cols)
+        runs.append(sorted(tuple(x.values()) for x in t.to_pylist()))
+    assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_raw_raster_resizer_bilinear_real():
     """RawRasterResizer has NO stubbed seam: exact dims, constant image
     stays constant, a horizontal gradient stays monotone per row, and a
