@@ -37,7 +37,6 @@ shards.
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
@@ -105,13 +104,6 @@ def encode_job(*args, **kwargs) -> dict:
 
     with runahead(ENCODE_RUNAHEAD):
         return _encode_job_impl(*args, **kwargs)
-
-
-def _cluster_cpus() -> int:
-    if not ray.is_initialized():
-        # ray.data starts a local session sized to this host
-        return os.cpu_count() or 1
-    return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
 def _encode_salted_group(group: pa.Table, encoder: ChunkEncoder) -> pa.Table:
@@ -211,11 +203,8 @@ def _encode_job_impl(
         # this is the difference between 10^6 and 10^8 output files).
         # Stateless tasks, not an actor pool: tasks schedule elastically
         # and reuse warm workers — no pool-startup serialization
-        # (measured 7.6s vs 13.7s at 32 CPUs). One task per CPU, each
-        # over a contiguous run of shards: a task's selection cache
-        # amortizes over its shards as a warm worker's did, and the
-        # bytes no longer depend on how tasks land on reused workers
-        nblocks = override_num_blocks or _cluster_cpus()
+        # (measured 7.6s vs 13.7s at 32 CPUs)
+        nblocks = override_num_blocks or len(pending)
         enc = encoder(
             skip_completed=resume,
             # lang_local: the skew-aware layout WITHOUT a shuffle — each

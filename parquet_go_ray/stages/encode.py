@@ -13,8 +13,8 @@ resumed run reproduces identical ids for identical input slices.
 `ChunkEncoder.encode_shard` is the one shard body: resume check,
 chunking, encode, one chunk file, manifest commit, summary row. Its
 callers are every chunk-store writer in the package:
-- `PathPlanEncoder` (encode modes direct and lang_local) and
-  `ChunkEncoder.__call__` (in-memory encodes);
+- `PathPlanEncoder` (encode modes direct and lang_local), through
+  `ChunkEncoder.__call__`, its table-returning form;
 - the zorder, bucket and lang_salted block and group bodies in
   pipelines/encode.py;
 - `compact_store` and `purge_tombstones`;
@@ -26,15 +26,12 @@ because their chunk ids and column slots come from the base store,
 but build their records with the same `chunk_record`.
 
 Codec selection state (the winning codec id + the trained FSST symbol
-table per column) is cached, so the sampling/training cost is paid once
-per cache instead of once per 4096-row chunk. `PathPlanEncoder` keeps
-one cache per task, over the task's shards in plan order, so a store's
-bytes depend on the plan alone, never on which reused worker ran which
-task; the other writers use the per-worker cache under the store's
-namespace (Ray reuses workers across tasks — the load-once-per-actor
-pattern, without requiring an actor pool). A drift guard re-runs
-selection when a chunk's ratio degrades vs the ratio at selection time,
-and every RESELECT_EVERY chunks regardless.
+table per column) is cached per worker process: Ray reuses workers
+across tasks, so the sampling/training cost is paid once per worker
+instead of once per 4096-row chunk — the load-once-per-actor pattern,
+without requiring an actor pool. A drift guard re-runs selection when a
+chunk's ratio degrades vs the ratio at selection time, and every
+RESELECT_EVERY chunks regardless.
 """
 
 from __future__ import annotations
@@ -264,14 +261,6 @@ def _namespace_cache(store: dict[str, dict], ns: str) -> dict:
     return cache
 
 
-def _run_cache(cache: dict, run: str) -> dict:
-    """The selection cache of one key run (a language) inside `cache`,
-    so each run's tables amortize over every chunk of that run the
-    owner of `cache` encodes. Column entries are keyed (name, type), so
-    a ("run", ...) key never collides with one."""
-    return cache.setdefault(("run", run), {})
-
-
 def _comp_for(compression, name: str) -> str | None:
     """Resolve per-column compression (reference parity: per-column
     compress.Codec via struct tags / WriterConfig, config.go:202-216).
@@ -391,23 +380,23 @@ def chunk_record(
     column: str,
     arr: pa.Array,
     blob: bytes,
-    codec: str | None = None,
-    stats: bool = True,
     bloom: bytes | None = None,
+    dict_page: bool = False,
 ) -> dict:
     """One CHUNK_SCHEMA row for the encoded column chunk `blob` of
     `arr` — the only place chunk records are built: data chunks
-    (encode_table), file-level dict pages (`codec="dict_page"`, no
-    stats) and derived-family chunks. `codec` defaults to the name of
-    the codec recorded in the blob; `file` is filled at write time."""
-    vmin, vmax = _stat_bounds(arr) if stats else (None, None)
+    (encode_table), file-level dict pages (`dict_page`: codec
+    "dict_page", no stats) and derived-family chunks. A data chunk's
+    codec is the one recorded in the blob; `file` is filled at write
+    time."""
+    vmin, vmax = (None, None) if dict_page else _stat_bounds(arr)
     return {
         "chunk_id": chunk_id,
         "shard": shard,
         "file": "",
         "col_idx": col_idx,
         "column": column,
-        "codec": codec or R.CODEC_NAMES[blob[4]],
+        "codec": "dict_page" if dict_page else R.CODEC_NAMES[blob[4]],
         "n": len(arr),
         "n_null": arr.null_count,
         "raw_nbytes": arr.nbytes,
@@ -415,7 +404,7 @@ def chunk_record(
         "crc32": zlib.crc32(blob),
         "vmin": vmin,
         "vmax": vmax,
-        "vsum": _stat_sum(arr) if stats else None,
+        "vsum": None if dict_page else _stat_sum(arr),
         "bloom": bloom,
         "payload": blob,
     }
@@ -501,14 +490,14 @@ def write_chunk_file(chunks: pa.Table, output_dir: str) -> pa.Table:
 
 
 class ChunkEncoder:
-    """map_batches callable for the distributed encode stage, passed as
-    an INSTANCE -> stateless Ray tasks (elastic, no pool startup) whose
+    """Shard encoder shipped as an INSTANCE inside the encode stage's
+    callables -> stateless Ray tasks (elastic, no pool startup) whose
     codec-selection state lives in the per-worker cache. `encode_shard`
     is the whole-shard unit every chunk-store writer shares (see the
-    module docstring for the list).
+    module docstring for the list); `__call__` returns it as a table.
 
     output_dir=None  -> emit full chunk records (in-memory mode)
-    output_dir=str   -> write chunk files, emit lineage records only
+    output_dir=str   -> write chunk files, emit summary rows only
     """
 
     def __init__(
@@ -555,8 +544,7 @@ class ChunkEncoder:
         # worker's first chunks for nothing (the drift guard still
         # catches a store whose content genuinely changed).
         # In-memory jobs (output_dir=None) have no store identity and
-        # get a fresh nonce. PathPlanEncoder passes a per-task cache
-        # instead, so the direct path's bytes follow from its plan.
+        # get a fresh nonce.
         if output_dir is None:
             self.cache_namespace = uuid.uuid4().hex
         else:
@@ -593,8 +581,11 @@ class ChunkEncoder:
         selections into another: one cache for the whole store, or with
         `run` (a key run such as a language) one cache per run, so each
         language keeps its own specialized FSST tables."""
-        cache = _namespace_cache(_COLUMN_CACHE, self.cache_namespace)
-        return cache if run is None else _run_cache(cache, run)
+        if run is None:
+            return _namespace_cache(_COLUMN_CACHE, self.cache_namespace)
+        return _namespace_cache(_LANG_CACHES, self.cache_namespace).setdefault(
+            f"run:{run}", {}
+        )
 
     def _encode_groups(
         self, group: pa.Table, shard: str, cache: dict
@@ -632,7 +623,7 @@ class ChunkEncoder:
                 # cached tables; a boundary chunk spanning several
                 # languages trains on its own mixed content instead of
                 # borrowing the leading language's table
-                piece_cache = _run_cache(cache, f"{kc[0].as_py()}|{kc[-1].as_py()}")
+                piece_cache = self._cache(f"{kc[0].as_py()}|{kc[-1].as_py()}")
             groups.append(
                 encode_table(
                     piece,
@@ -677,19 +668,16 @@ class ChunkEncoder:
             manifest.record_shard_table(self.output_dir, shard, lineage)
         return summary_row(shard, lineage, complete)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        outputs = []
-        for shard, _path, group in split_by_shard(batch):
-            # a row batch may be one block of a larger input file: its
-            # lineage rides back for the driver's merge to commit
-            out = self.encode_shard(group, shard, complete=False)
-            if out is not None:
-                outputs.append(out)
+    def __call__(
+        self, rows: pa.Table, shard: str = "mem", complete: bool = True
+    ) -> pa.Table:
+        """`encode_shard` as a table-returning map callable: the summary
+        table of `rows` as shard `shard` (empty if resume skipped it),
+        or its chunk records in in-memory mode."""
+        out = self.encode_shard(rows, shard, complete)
         if self.output_dir:
-            return summary_table(outputs)
-        if not outputs:
-            return CHUNK_SCHEMA.empty_table()
-        return pa.concat_tables(outputs)
+            return summary_table([] if out is None else [out])
+        return out
 
 
 def _dict_page_rows(
@@ -707,9 +695,7 @@ def _dict_page_rows(
         vals = st.values_array()
         blob = chunk_mod.encode_array(vals, None, _comp_for(compression, name))
         records.append(
-            chunk_record(
-                "__dict__", shard, -1, name, vals, blob, codec="dict_page", stats=False
-            )
+            chunk_record("__dict__", shard, -1, name, vals, blob, dict_page=True)
         )
     return pa.Table.from_pylist(records, schema=CHUNK_SCHEMA)
 
@@ -723,12 +709,9 @@ def _lineage_schema() -> pa.Schema:
 class PathPlanEncoder:
     """Encode stage for PATH-planned jobs: the task receives shard PATHS
     (not rows) and reads each shard itself before handing it to the
-    wrapped ChunkEncoder's `encode_shard` — one shard in memory at a
-    time. The footer it reads to size the shard also tells it whether
-    the rows it encodes are the whole shard. Selection state lives for
-    one call (one task): its shards share one cache in path order, so
-    their bytes follow from the plan, not from which worker ran the
-    task or what that worker encoded before.
+    wrapped ChunkEncoder (`__call__`, i.e. `encode_shard`) — one shard
+    in memory at a time. The footer it reads to size the shard also tells it whether
+    the rows it encodes are the whole shard.
 
     Why: ray.data.read_parquet's planning probes every file's footer on
     the DRIVER (~2 ms/file measured) — a serial stall that reaches
@@ -754,8 +737,7 @@ class PathPlanEncoder:
         self.max_task_bytes = max_task_bytes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        cache: dict = {}
+        outs = []
         for p in batch.column("path").to_pylist():
             md = pq.read_metadata(p)
             total = sum(
@@ -775,15 +757,14 @@ class PathPlanEncoder:
                 # a row-group piece is not the whole shard: its lineage
                 # rides back incomplete and the driver's merge commits
                 # the shard manifest once every piece arrived
-                row = self.encoder.encode_shard(
-                    piece,
-                    Path(p).stem,
-                    complete=piece.num_rows == md.num_rows,
-                    cache=cache,
+                outs.append(
+                    self.encoder(
+                        piece, Path(p).stem, complete=piece.num_rows == md.num_rows
+                    )
                 )
-                if row is not None:
-                    rows.append(row)
-        return summary_table(rows)
+        if not outs:
+            return summary_table([])
+        return pa.concat_tables(outs)
 
 
 def split_by_shard(batch: pa.Table, default_shard: str = "mem"):
@@ -804,3 +785,11 @@ def split_by_shard(batch: pa.Table, default_shard: str = "mem"):
     for a, b in zip(starts[:-1], starts[1:]):
         p = paths[a]
         yield Path(p).stem, p, data.slice(int(a), int(b - a))
+
+
+# per-worker per-language-run selection caches for lang_local runs and
+# lang_salted partitions (workers are reused across tasks, so each
+# language's tables amortize over every chunk the worker encodes);
+# namespaced per store like _COLUMN_CACHE so reused workers never mix
+# corpora
+_LANG_CACHES: dict[str, dict] = {}

@@ -275,21 +275,21 @@ def test_encoder_retry_idempotent(web_small):
 
     from parquet_go_ray.stages.encode import ChunkEncoder
 
-    t = pq.read_table(web_small[0])
-    t = t.append_column("path", pa.array([web_small[0]] * t.num_rows))
     import shutil
+    from pathlib import Path
 
+    t = pq.read_table(web_small[0])
+    shard = Path(web_small[0]).stem
     outdir = "/tmp/retry_idem"
     shutil.rmtree(outdir, ignore_errors=True)
     enc = ChunkEncoder(output_dir=outdir, skip_completed=False)
-    s1 = enc(t)
-    from pathlib import Path
+    s1 = enc(t, shard)
 
     f = sorted(Path(outdir, "data").glob("*/*.parquet"))[0]
     first = pq.read_table(f)
-    s2 = ChunkEncoder(output_dir=outdir, skip_completed=False)(t)  # "retry"
+    s2 = ChunkEncoder(output_dir=outdir, skip_completed=False)(t, shard)  # "retry"
     second = pq.read_table(f)
-    assert s1.column("shard").to_pylist() == s2.column("shard").to_pylist()
+    assert s1.column("shard").to_pylist() == s2.column("shard").to_pylist() == [shard]
     assert first.column("chunk_id").to_pylist() == second.column("chunk_id").to_pylist()
     shutil.rmtree(outdir, ignore_errors=True)
 
@@ -656,31 +656,6 @@ def test_codec_cache_isolated_across_jobs(ray_session, tmp_path):
     enc_bytes(fa, "a_first")  # warm every worker's cache with corpus A
     poisoned_b = enc_bytes(fb, "b_after_a")
     assert poisoned_b == standalone_b
-
-
-def test_lang_local_bytes_independent_of_worker_history(ray_session, tmp_path):
-    """lang_local's per-language caches live for one task like the
-    direct path's: re-encoding the same shards into fresh stores, once
-    on cold workers and then on workers warmed by the earlier jobs,
-    gives identical lineage every time."""
-    import pyarrow.parquet as pq
-
-    from parquet_go_ray.pipelines.encode import encode_job
-    from parquet_go_ray.state import manifest
-
-    files = []
-    for i in range(8):
-        f = str(tmp_path / f"in{i}.parquet")
-        pq.write_table(webpages.generate_shard(0.001, i, 300), f)
-        files.append(f)
-    cols = ["shard", "chunk_id", "column", "codec", "enc_nbytes", "crc32"]
-    runs = []
-    for r in range(3):
-        out = str(tmp_path / f"store{r}")
-        encode_job(files, out, mode="lang_local", rows_per_chunk=128)
-        t = manifest.lineage_table(out, columns=cols)
-        runs.append(sorted(tuple(x.values()) for x in t.to_pylist()))
-    assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_raw_raster_resizer_bilinear_real():
