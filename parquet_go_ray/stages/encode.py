@@ -673,7 +673,8 @@ class ChunkEncoder:
     ) -> pa.Table:
         """`encode_shard` as a table-returning map callable: the summary
         table of `rows` as shard `shard` (empty if resume skipped it),
-        or its chunk records in in-memory mode."""
+        or its chunk records in in-memory mode. The direct path calls
+        this name, which perfbench traces as `stages.chunk_encoder`."""
         out = self.encode_shard(rows, shard, complete)
         if self.output_dir:
             return summary_table([] if out is None else [out])
