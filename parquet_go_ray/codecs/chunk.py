@@ -78,12 +78,7 @@ def physical_type(ty: pa.DataType) -> int:
         return R.FLOAT
     if pa.types.is_float64(ty):
         return R.DOUBLE
-    if (
-        pa.types.is_string(ty)
-        or pa.types.is_large_string(ty)
-        or pa.types.is_binary(ty)
-        or pa.types.is_large_binary(ty)
-    ):
+    if dictionary.is_byte_array(ty):
         return R.BYTE_ARRAY
     if pa.types.is_fixed_size_binary(ty):
         return R.FIXED_LEN_BYTE_ARRAY
@@ -136,17 +131,11 @@ def _to_physical_values(values: pa.Array, ptype: int):
     if ptype == R.BYTE_ARRAY:
         # string/binary layouts are read directly (int32 or int64
         # offsets) — no cast, so the value bytes are never copied
-        if not (
-            pa.types.is_string(ty)
-            or pa.types.is_large_string(ty)
-            or pa.types.is_binary(ty)
-            or pa.types.is_large_binary(ty)
-        ):
+        if not dictionary.is_byte_array(ty):
             values = values.cast(pa.large_binary())
         return dictionary._byte_array_buffers(values)
     if ptype == R.FIXED_LEN_BYTE_ARRAY:
-        if pa.types.is_decimal(ty):
-            values = _decimal_to_flba(values)
+        values = _as_flba(values)
         w = values.type.byte_width
         bufs = values.buffers()
         data = memoryview(bufs[1])[values.offset * w : (values.offset + len(values)) * w]
@@ -154,11 +143,14 @@ def _to_physical_values(values: pa.Array, ptype: int):
     raise ChunkError(f"no physical value extraction for ptype {ptype}")
 
 
-def _decimal_to_flba(values: pa.Array) -> pa.Array:
-    w = 16 if pa.types.is_decimal128(values.type) else 32
+def _as_flba(values: pa.Array) -> pa.Array:
+    """The FIXED_LEN_BYTE_ARRAY view (same buffers) of a fixed-width
+    binary, decimal or float16 array."""
+    if pa.types.is_fixed_size_binary(values.type):
+        return values
     bufs = values.buffers()
     return pa.Array.from_buffers(
-        pa.binary(w),
+        pa.binary(values.type.byte_width),
         len(values),
         [bufs[0], bufs[1]],
         offset=values.offset,
@@ -235,7 +227,7 @@ def _encode_payload(
             return fsst.encode_byte_array(data, offsets, table), 0
     elif ptype == R.FIXED_LEN_BYTE_ARRAY:
         if codec == R.DICT:
-            arr = _decimal_to_flba(values) if pa.types.is_decimal(values.type) else values
+            arr = _as_flba(values)
             return dictionary.encode(arr), arr.type.byte_width
         data, w = _to_physical_values(values, ptype)
         if codec == R.PLAIN:

@@ -32,9 +32,14 @@ def encode_indexes(indexes: np.ndarray, n_dict: int) -> bytes:
     )
 
 
+def is_byte_array(ty: pa.DataType) -> bool:
+    """string, binary and their large variants: (offsets, data) layout."""
+    return pa.types.is_string(ty) or pa.types.is_large_string(ty) or pa.types.is_binary(ty) or pa.types.is_large_binary(ty)
+
+
 def _plain_encode_values(arr: pa.Array) -> bytes:
     ty = arr.type
-    if pa.types.is_string(ty) or pa.types.is_large_string(ty) or pa.types.is_binary(ty) or pa.types.is_large_binary(ty):
+    if is_byte_array(ty):
         data, offsets = _byte_array_buffers(arr)
         return plain.encode_byte_array(data, offsets)
     if pa.types.is_boolean(ty):

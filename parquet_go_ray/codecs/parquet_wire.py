@@ -29,7 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import bytestreamsplit as bss
-from . import delta, plain, rle
+from . import delta, plain, rle, selector
 from .dictionary import _byte_array_buffers
 
 # ---------------------------------------------------------------------------
@@ -439,62 +439,67 @@ def _def_levels(validity: np.ndarray) -> bytes:
     return struct.pack("<I", len(body)) + body
 
 
-def _candidates(ct: _ColType, compression: str | None) -> list[int]:
+def _candidates(ct: _ColType) -> list[int]:
     p = ct.physical
     if p == T_BOOLEAN:
         return [E_PLAIN, E_RLE]
     if p in (T_INT32, T_INT64):
         return [E_PLAIN, E_DELTA_BINARY_PACKED]
-    if p in (T_FLOAT, T_DOUBLE):
-        # BSS only pays off under a compression codec (same raw size)
-        return [E_PLAIN, E_BYTE_STREAM_SPLIT] if compression else [E_PLAIN]
     if p == T_BYTE_ARRAY:
         return [E_PLAIN, E_DELTA_LENGTH_BYTE_ARRAY, E_DELTA_BYTE_ARRAY]
     return [E_PLAIN]
 
 
-def _select_encoding(
-    arr: pa.Array, ct: _ColType, compression: str | None
-) -> tuple[int, pa.Array | None, pa.Array | None]:
-    """Pick the cheapest parquet encoding for this column chunk by trial
-    on a sample (the repo's selector policy restricted to parquet wire
-    encodings; FSST has no parquet code so text falls back to the best
-    spec encoding). Returns (encoding, dict_values, dict_indices);
-    dict_* are set when RLE_DICTIONARY wins."""
-    nn = arr.drop_null()
+def _dictionary(arr: pa.Array) -> tuple[pa.Array, pa.Array]:
+    """(dictionary, indices); a null value gets a null index."""
+    denc = pc.dictionary_encode(arr)
+    if isinstance(denc, pa.ChunkedArray):
+        denc = denc.combine_chunks()
+    return denc.dictionary, denc.indices
+
+
+def _index_width(n_dict: int) -> int:
+    return max(1, (n_dict - 1).bit_length())
+
+
+def _index_values(idx: np.ndarray, width: int) -> bytes:
+    """RLE_DICTIONARY page values: bit-width byte + hybrid index stream."""
+    return bytes([width]) + rle.encode(idx.astype(np.uint64, copy=False), width)
+
+
+def _select_encoding(arr: pa.Array, ct: _ColType) -> int:
+    """Pick this column chunk's parquet encoding with the codec selector
+    (`selector.sample` + `selector.smallest`), trial-encoding the sample
+    with the wire's own page encoders and judging raw sizes. The
+    RLE_DICTIONARY trial scores the sample's dict page plus its index
+    values. FSST has no parquet code, so text gets the best spec
+    encoding."""
+    nn = arr.drop_null() if arr.null_count else arr
     if len(nn) == 0:
-        return E_PLAIN, None, None
-    sample = nn.slice(0, 2048)
-    best, best_size = None, None
-    for enc in _candidates(ct, compression):
-        try:
-            size = len(_encode_values(sample, enc, ct))
-        except Exception:
-            continue
-        if best_size is None or size < best_size:
-            best, best_size = enc, size
-    # dictionary trial: probe unique ratio on the SAMPLE first — full
-    # dictionary_encode over e.g. an html binary column hashes megabytes
-    # only to learn every value is unique
-    dict_vals = dict_idx = None
-    if ct.physical != T_BOOLEAN and len(
-        pc.unique(sample)
-    ) <= max(1, len(sample) // 2):
-        denc = pc.dictionary_encode(arr)
-        if isinstance(denc, pa.ChunkedArray):
-            denc = denc.combine_chunks()
-        nuniq = len(denc.dictionary)
-        if nuniq and nuniq <= max(1, len(nn) // 2):
-            width = max(1, (nuniq - 1).bit_length()) if nuniq > 1 else 1
-            sample_n = len(sample)
-            dict_size = len(
-                _encode_values(denc.dictionary, E_PLAIN, ct)
-            ) * sample_n / max(1, len(nn)) + sample_n * width / 8
-            if dict_size < best_size:
-                best = E_RLE_DICTIONARY
-                dict_vals = denc.dictionary
-                dict_idx = denc.indices
-    return best, dict_vals, dict_idx
+        return E_PLAIN
+    cands = _candidates(ct) + ([E_RLE_DICTIONARY] if ct.physical != T_BOOLEAN else [])
+
+    def size(sample: pa.Array, enc: int) -> int:
+        if enc != E_RLE_DICTIONARY:
+            return len(_encode_values(sample, enc, ct))
+        vals, idx = _dictionary(sample)
+        return len(_encode_values(vals, E_PLAIN, ct)) + len(
+            _index_values(idx.to_numpy(), _index_width(len(vals)))
+        )
+
+    return selector.smallest(selector.sample(nn), cands, size)
+
+
+def _column_encoding(
+    arr: pa.Array, ct: _ColType, encoding: str | None
+) -> tuple[int, pa.Array | None, pa.Array | None]:
+    """(encoding, dict_values, dict_indices) of one column chunk: the
+    forced `encoding`, else the selector's pick. The whole array is
+    dictionary-encoded only for RLE_DICTIONARY."""
+    enc = _select_encoding(arr, ct) if encoding is None else _ENCODING_IDS[encoding]
+    if enc != E_RLE_DICTIONARY:
+        return enc, None, None
+    return (enc, *_dictionary(arr))
 
 
 # ---------------------------------------------------------------------------
@@ -822,16 +827,7 @@ def _write_column_chunk(
     res.dict_page_offset = None
     res.pages = 0
 
-    if encoding is not None:
-        enc = _ENCODING_IDS[encoding]
-        dict_vals = dict_idx = None
-        if enc == E_RLE_DICTIONARY:
-            denc = pc.dictionary_encode(arr)
-            if isinstance(denc, pa.ChunkedArray):
-                denc = denc.combine_chunks()
-            dict_vals, dict_idx = denc.dictionary, denc.indices
-    else:
-        enc, dict_vals, dict_idx = _select_encoding(arr, ct, compression)
+    enc, dict_vals, dict_idx = _column_encoding(arr, ct, encoding)
     nn_all = arr.drop_null() if arr.null_count else arr
     res.stats = _stats_blob(nn_all, ct, arr.null_count)
     if want_bloom:
@@ -894,7 +890,7 @@ def _write_column_chunk(
             _PAGE_DICT, dict_raw, len(dict_vals), E_PLAIN
         )
         source = dict_idx  # pages slice the index stream
-        width = max(1, (len(dict_vals) - 1).bit_length()) if len(dict_vals) > 1 else 1
+        width = _index_width(len(dict_vals))
     else:
         source = arr
 
@@ -908,8 +904,7 @@ def _write_column_chunk(
             validity = ~np.asarray(pc.is_null(page))
         values = page.drop_null() if page.null_count else page
         if enc == E_RLE_DICTIONARY:
-            idx = values.to_numpy(zero_copy_only=False).astype(np.uint64)
-            value_bytes = bytes([width]) + rle.encode(idx, width)
+            value_bytes = _index_values(values.to_numpy(zero_copy_only=False), width)
         else:
             value_bytes = _encode_values(values, enc, ct)
         if page_version == 2:
@@ -1164,16 +1159,7 @@ def _write_general_column_chunk(
     res.pages = 0
     res.num_values = len(rep)
 
-    if encoding is not None:
-        enc = _ENCODING_IDS[encoding]
-        dict_vals = dict_idx = None
-        if enc == E_RLE_DICTIONARY:
-            denc = pc.dictionary_encode(dense)
-            if isinstance(denc, pa.ChunkedArray):
-                denc = denc.combine_chunks()
-            dict_vals, dict_idx = denc.dictionary, denc.indices
-    else:
-        enc, dict_vals, dict_idx = _select_encoding(dense, ct, compression)
+    enc, dict_vals, dict_idx = _column_encoding(dense, ct, encoding)
 
     def emit(kind: int, raw: bytes, num_values: int, page_enc: int):
         offset = out.tell()
@@ -1192,7 +1178,7 @@ def _write_general_column_chunk(
     if enc == E_RLE_DICTIONARY:
         dict_raw = _encode_values(dict_vals, E_PLAIN, ct)
         res.dict_page_offset, _ = emit(_PAGE_DICT, dict_raw, len(dict_vals), E_PLAIN)
-        width = max(1, (len(dict_vals) - 1).bit_length()) if len(dict_vals) > 1 else 1
+        width = _index_width(len(dict_vals))
         idx_np = dict_idx.to_numpy(zero_copy_only=False).astype(np.uint64)
 
     wr = max(1, max_rep.bit_length()) if max_rep > 0 else 0
@@ -1225,7 +1211,7 @@ def _write_general_column_chunk(
             body = rle.encode(deff[a:b].astype(np.uint64), wd)
             parts.append(struct.pack("<I", len(body)) + body)
         if enc == E_RLE_DICTIONARY:
-            parts.append(bytes([width]) + rle.encode(idx_np[d0:d1], width))
+            parts.append(_index_values(idx_np[d0:d1], width))
         else:
             parts.append(_encode_values(dense.slice(d0, d1 - d0), enc, ct))
         off, size = emit(_PAGE_DATA, b"".join(parts), b - a, enc)
@@ -1318,16 +1304,7 @@ def _write_list_column_chunk(
     if dense.null_count:
         dense = dense.drop_null()
 
-    if encoding is not None:
-        enc = _ENCODING_IDS[encoding]
-        dict_vals = dict_idx = None
-        if enc == E_RLE_DICTIONARY:
-            denc = pc.dictionary_encode(dense)
-            if isinstance(denc, pa.ChunkedArray):
-                denc = denc.combine_chunks()
-            dict_vals, dict_idx = denc.dictionary, denc.indices
-    else:
-        enc, dict_vals, dict_idx = _select_encoding(dense, ct, compression)
+    enc, dict_vals, dict_idx = _column_encoding(dense, ct, encoding)
 
     def emit(kind: int, raw: bytes, num_values: int, page_enc: int):
         offset = out.tell()
@@ -1345,7 +1322,7 @@ def _write_list_column_chunk(
     if enc == E_RLE_DICTIONARY:
         dict_raw = _encode_values(dict_vals, E_PLAIN, ct)
         res.dict_page_offset, _ = emit(_PAGE_DICT, dict_raw, len(dict_vals), E_PLAIN)
-        width = max(1, (len(dict_vals) - 1).bit_length()) if len(dict_vals) > 1 else 1
+        width = _index_width(len(dict_vals))
         idx_np = dict_idx.to_numpy(zero_copy_only=False).astype(np.uint64)
 
     res.data_page_offset = None
@@ -1361,9 +1338,7 @@ def _write_list_column_chunk(
             struct.pack("<I", len(def_body)) + def_body,
         ]
         if enc == E_RLE_DICTIONARY:
-            parts.append(
-                bytes([width]) + rle.encode(idx_np[cursor : cursor + n_dense], width)
-            )
+            parts.append(_index_values(idx_np[cursor : cursor + n_dense], width))
         else:
             parts.append(
                 _encode_values(dense.slice(cursor, n_dense), enc, ct)

@@ -697,7 +697,19 @@ def compact_index(index_dir: str, rows_per_chunk: int = 8192) -> dict:
     if not todo:
         return {"buckets_compacted": 0, "shards_merged": 0}
 
-    items = [{"base": b, "members": ms} for b, ms in sorted(todo.items())]
+    # member files from the manifest lineage, never a glob: an orphaned
+    # chunk file must not fold into the bucket as duplicate postings
+    file_map = manifest.shard_file_map(
+        index_dir, {s for ms in todo.values() for s in ms}
+    )
+    items = [
+        {
+            "base": b,
+            "members": ms,
+            "files": [f for m in ms for f in file_map.get(m, [])],
+        }
+        for b, ms in sorted(todo.items())
+    ]
 
     enc = ChunkEncoder(
         output_dir=index_dir,
@@ -725,12 +737,7 @@ def compact_index(index_dir: str, rows_per_chunk: int = 8192) -> dict:
                     mf.unlink()
                 out.append({"base": base, "merged": len(members)})
                 continue
-            parts = []
-            for m in members:
-                for f in sorted(
-                    (Path(index_dir) / "data" / m).glob("*.parquet")
-                ):
-                    parts.append(decode_chunk_table(pq.read_table(f)))
+            parts = [decode_chunk_table(pq.read_table(f)) for f in row["files"]]
             rows_t = pa.concat_tables(
                 [p for p in parts if p.num_columns],
                 promote_options="default",

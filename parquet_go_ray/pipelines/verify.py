@@ -71,14 +71,9 @@ def _column_hash(arr: pa.Array) -> np.ndarray:
     validity = None
     if arr.null_count:
         validity = ~np.asarray(pc.is_null(arr))
-    if (
-        pa.types.is_string(ty)
-        or pa.types.is_large_string(ty)
-        or pa.types.is_binary(ty)
-        or pa.types.is_large_binary(ty)
-    ):
-        from ..codecs.dictionary import _byte_array_buffers
+    from ..codecs.dictionary import _byte_array_buffers, is_byte_array
 
+    if is_byte_array(ty):
         filled = arr
         if validity is not None:
             fill = "" if pa.types.is_string(ty) or pa.types.is_large_string(ty) else b""

@@ -174,15 +174,10 @@ def _hash_flat_array(h, arr: pa.Array) -> bool:
 
         mask = np.asarray(pc.is_null(arr))
         h.update(np.packbits(mask).tobytes())
-    try:
-        if (
-            pa.types.is_string(ty)
-            or pa.types.is_large_string(ty)
-            or pa.types.is_binary(ty)
-            or pa.types.is_large_binary(ty)
-        ):
-            from ..codecs.dictionary import _byte_array_buffers
+    from ..codecs.dictionary import _byte_array_buffers, is_byte_array
 
+    try:
+        if is_byte_array(ty):
             data, offsets = _byte_array_buffers(arr)
             h.update(offsets.tobytes())
             h.update(data)

@@ -305,6 +305,12 @@ class TestFloat16:
             pa.array(rng.normal(0, 0.3, 4096).astype(np.float16)),
             pa.array([np.float16(1.5), None, np.float16(2.5), None]),
             pa.array([], type=pa.float16()),
+            # low cardinality: DICT encodes through the FLBA(2) view
+            pa.array(
+                np.array([0.5, -2.0, np.nan, 1024.0], dtype=np.float16)[
+                    rng.integers(0, 4, 4096)
+                ]
+            ),
             pa.array(
                 np.array(
                     [np.inf, -np.inf, np.nan, 0.0, -0.0, 65504.0],
@@ -313,6 +319,20 @@ class TestFloat16:
             ),
         ]:
             self._roundtrip_bits(arr)
+
+    def test_dict(self):
+        from parquet_go_ray.codecs import decode_array, encode_array
+        from parquet_go_ray.codecs import registry as R
+
+        vals = np.array([1.5, 0.0, 2.5, 1.5] * 1024, dtype=np.float16)
+        arr = pa.array(vals, mask=np.arange(len(vals)) % 4 == 1)
+        assert encode_array(arr)[4] == R.DICT
+        self._roundtrip_bits(arr)
+        self._roundtrip_bits(arr.slice(3))  # sliced input keeps its offset
+        for codec in (R.DICT, R.PLAIN, R.BYTE_STREAM_SPLIT):
+            blob = encode_array(arr, codec=codec)
+            assert blob[4] == codec
+            assert decode_array(blob).to_pylist() == arr.to_pylist()
 
     def test_physical_type_is_flba(self):
         from parquet_go_ray.codecs import registry as R

@@ -134,3 +134,23 @@ def test_extension_codec_through_ray_pipeline(ray_session):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(out, df)
+
+
+def test_extension_codec_never_auto_selected(monkeypatch):
+    """A registered extension codec only encodes the columns it is
+    forced on: automatic selection keeps to the built-in codecs even when
+    the extension's payload is the smallest."""
+    from parquet_go_ray.codecs import registry as R
+    from parquet_go_ray.codecs.chunk import decode_array, encode_array
+
+    for name in ("SUPPORTED", "CODEC_NAMES", "CODEC_IDS", "EXTENSION_CODECS"):
+        monkeypatch.setattr(R, name, dict(getattr(R, name)))
+    R.register_codec(
+        70, "tiny", (R.INT64,), lambda v: b"x",
+        lambda payload, n: np.zeros(n, dtype=np.int64),
+    )
+    arr = pa.array(np.arange(4096, dtype=np.int64))
+    blob = encode_array(arr)
+    assert not R.is_extension(blob[4])
+    assert decode_array(blob).equals(arr)
+    assert encode_array(arr, codec=70)[4] == 70

@@ -404,3 +404,29 @@ def test_compact_index_crash_rollback(tmp_path, ray_session, index):
     compact_index(out)
     after = _rank(out, ["alpha"])
     pd.testing.assert_frame_equal(before, after)
+
+
+def test_compact_index_ignores_orphan_chunk_files(tmp_path, ray_session, index):
+    """Compaction folds in the files each member shard's commit recorded,
+    not whatever its data dir holds: a stray copy of a generation's chunk
+    file (readers ignore it) must not become duplicate postings."""
+    from parquet_go_ray.pipelines.textindex import compact_index, update_text_index
+    from parquet_go_ray.state import manifest
+
+    out, _ = index
+    inc = pd.DataFrame(
+        {"doc_id": np.array([5, 6], dtype=np.int64),
+         "text": ["alpha beta orphan" for _ in range(2)]}
+    )
+    p = str(tmp_path / "inc.parquet")
+    pq.write_table(pa.Table.from_pandas(inc, preserve_index=False), p)
+    update_text_index(out, [p])
+    gens = [s for s in manifest.completed_shards(out) if "+g" in s]
+    assert gens
+    chunk = sorted((tmp_path / "idx" / "data" / gens[0]).glob("*.parquet"))[0]
+    shutil.copy(chunk, chunk.with_name("orphan-" + chunk.name))
+
+    tokens = WORDS + ["orphan"]
+    before = lookup_postings(out, tokens).count()
+    compact_index(out)
+    assert lookup_postings(out, tokens).count() == before
