@@ -321,7 +321,9 @@ def _encode_job_impl(
 
         def encode_bucket(group: pa.Table) -> pa.Table:
             # one map_groups call owns its bucket entirely: manifest
-            # committed in-task, nothing further shuffles
+            # committed in-task, nothing further shuffles. Buckets are
+            # hash-mixed (no per-bucket content skew), so the store's one
+            # selection cache serves every bucket a worker encodes
             bucket = group.column("_bucket")[0].as_py()
             row = enc.encode_shard(
                 group.drop_columns(["_bucket"]), f"bucket={bucket:05d}"
