@@ -2,9 +2,11 @@
  *
  * Compiled at runtime with the system compiler when available (see
  * native.py::load); the vectorized numpy implementation in fsst.py
- * remains the reference/fallback. Wire format is identical: per-input-BLOCK
- * code lengths + code stream (escape 255 + literal byte), and fsst_train
- * returns the same symbol list as fsst.py's numpy trainer.
+ * remains the reference/fallback. The stream format is the same on both
+ * paths: [uvarint n_blocks][uvarint code bytes per input BLOCK]... then
+ * the code stream (escape 255 + literal byte). fsst_encode and
+ * fsst_decode read and write the block-length header themselves, and
+ * fsst_train returns the same symbol list as fsst.py's numpy trainer.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -25,6 +27,53 @@
 #else
 #define USE_WORDS 0
 #endif
+
+/* LEB128 varints of the stream's block-length header */
+static int uvarint_len(uint64_t v)
+{
+    int l = 1;
+    while (v >= 0x80) {
+        v >>= 7;
+        l++;
+    }
+    return l;
+}
+
+static int uvarint_put(uint8_t *p, uint64_t v)
+{
+    int l = 0;
+    while (v >= 0x80) {
+        p[l++] = (uint8_t)(v | 0x80);
+        v >>= 7;
+    }
+    p[l++] = (uint8_t)v;
+    return l;
+}
+
+/* Reads one varint of p[0..n) at i into *v; returns the position after
+ * it, or -1 if it runs past n or past 10 bytes. */
+static int64_t uvarint_get(const uint8_t *p, int64_t n, int64_t i,
+                           uint64_t *v)
+{
+    uint64_t x = 0;
+    for (int shift = 0; shift < 70 && i < n; shift += 7) {
+        uint8_t b = p[i++];
+        x |= (uint64_t)(b & 0x7F) << shift;
+        if (!(b & 0x80)) {
+            *v = x;
+            return i;
+        }
+    }
+    return -1;
+}
+
+/* Longest block-length header of a stream for n input bytes: one varint
+ * for the block count and at most two bytes per block (a block's codes
+ * are at most 2 * BLOCK bytes, under 2^14). */
+static int64_t header_bound(int64_t n)
+{
+    return 10 + 2 * (n / BLOCK + 1);
+}
 
 /* Greedy longest-match lookup structures for one symbol table. */
 typedef struct {
@@ -126,20 +175,33 @@ static inline int matcher_match(const matcher *m, const uint8_t *p,
     return -1;
 }
 
+/* Largest stream fsst_encode writes for n input bytes: every byte an
+ * escape pair, plus the block-length header. */
+static int64_t encode_bound(int64_t n)
+{
+    return 2 * n + header_bound(n);
+}
+
 /* encode: greedy longest-match per position, matches never cross a
- * BLOCK boundary. Returns 0 on success. */
+ * BLOCK boundary. Writes the whole stream, [uvarint n_blocks][uvarint
+ * code bytes per block]...[codes], to out[*start .. *start + *out_len):
+ * the codes go after room for the longest header, and the header is
+ * written right before them once the block lengths are known.
+ * block_lens is scratch for n / BLOCK + 1 values. Returns 0 on success,
+ * 1 if out_cap < 2 * n + 10 + 2 * (n / BLOCK + 1). */
 int fsst_encode(const uint8_t *data, int64_t n,
                 const uint8_t *sym_bytes, /* MAX_SYMS * 8, padded */
                 const uint8_t *sym_lens,  /* MAX_SYMS */
                 int32_t n_syms,
-                uint8_t *out,            /* capacity >= 2*n */
-                int64_t *out_len,
-                int64_t *block_lens,     /* capacity >= n/BLOCK + 1 */
-                int64_t *n_blocks)
+                uint8_t *out, int64_t out_cap,
+                int64_t *block_lens,
+                int64_t *start, int64_t *out_len)
 {
+    if (n < 0 || out_cap < encode_bound(n)) return 1;
     matcher m;
     matcher_build(&m, sym_bytes, sym_lens, n_syms);
-    int64_t pos = 0, o = 0, nb = 0;
+    int64_t hdr_cap = header_bound(n);
+    int64_t pos = 0, o = hdr_cap, nb = 0;
     while (pos < n) {
         int64_t block_end = pos + BLOCK;
         if (block_end > n) block_end = n;
@@ -158,35 +220,71 @@ int fsst_encode(const uint8_t *data, int64_t n,
         }
         block_lens[nb++] = o - o_start;
     }
-    *out_len = o;
-    *n_blocks = nb;
+    int64_t h = uvarint_len(nb);
+    for (int64_t b = 0; b < nb; b++) h += uvarint_len(block_lens[b]);
+    int64_t w = hdr_cap - h;
+    *start = w;
+    w += uvarint_put(out + w, nb);
+    for (int64_t b = 0; b < nb; b++) w += uvarint_put(out + w, block_lens[b]);
+    *out_len = o - *start;
     return 0;
 }
 
-/* decode a code stream (without the block-length header) */
-int fsst_decode(const uint8_t *codes, int64_t n,
+/* decode one stream as fsst_encode writes it into out[0 .. size), where
+ * size is the decoded length the caller knows (the sum of the value
+ * lengths) and out has 8 more bytes of slack: each symbol code is one
+ * unconditional 8-byte store, and the bounds check before it keeps the
+ * symbol's real length inside size. Returns 0 when the stream decodes
+ * to exactly size bytes, else one of the FSST_* error codes. */
+enum {
+    FSST_TRUNCATED = 1,  /* header runs past the stream, or an escape is
+                            the last byte */
+    FSST_BAD_CODE = 2,   /* a code >= n_syms that is not the escape */
+    FSST_OVERFLOW = 3,   /* the output would pass size */
+    FSST_SHORT = 4,      /* the stream decodes to fewer than size bytes */
+    FSST_BAD_HEADER = 5, /* the block lengths do not sum to the code bytes */
+};
+
+int fsst_decode(const uint8_t *stream, int64_t n,
                 const uint8_t *sym_bytes, const uint8_t *sym_lens,
                 int32_t n_syms,
-                uint8_t *out, int64_t out_cap, int64_t *out_len)
+                uint8_t *out, int64_t size)
 {
-    int64_t i = 0, o = 0;
+    uint64_t sym[256];
+    uint8_t lens[256];
+    uint64_t n_blocks, block_len, code_bytes = 0;
+    if (n_syms < 0 || n_syms > MAX_SYMS) return FSST_BAD_CODE;
+    int64_t i = uvarint_get(stream, n, 0, &n_blocks);
+    for (uint64_t b = 0; i >= 0 && b < n_blocks; b++) {
+        i = uvarint_get(stream, n, i, &block_len);
+        code_bytes += block_len;
+    }
+    if (i < 0) return FSST_TRUNCATED;
+    if (code_bytes != (uint64_t)(n - i)) return FSST_BAD_HEADER;
+    /* codes >= n_syms (and the escape) get length 0, so one load tells a
+     * symbol from everything else */
+    memset(lens, 0, sizeof(lens));
+    memcpy(sym, sym_bytes, (size_t)n_syms * 8);
+    memcpy(lens, sym_lens, (size_t)n_syms);
+    int64_t o = 0;
     while (i < n) {
-        uint8_t c = codes[i];
-        if (c == ESCAPE) {
-            if (i + 1 >= n || o + 1 > out_cap) return 1;
-            out[o++] = codes[i + 1];
-            i += 2;
-        } else {
-            if (c >= n_syms) return 2;
-            int l = sym_lens[c];
-            if (o + l > out_cap) return 1;
-            memcpy(out + o, sym_bytes + c * 8, l);
+        uint8_t c = stream[i];
+        int l = lens[c];
+        if (l) {
+            if (o + l > size) return FSST_OVERFLOW;
+            memcpy(out + o, &sym[c], 8);
             o += l;
             i += 1;
+        } else if (c == ESCAPE) {
+            if (i + 1 >= n) return FSST_TRUNCATED;
+            if (o >= size) return FSST_OVERFLOW;
+            out[o++] = stream[i + 1];
+            i += 2;
+        } else {
+            return FSST_BAD_CODE;
         }
     }
-    *out_len = o;
-    return 0;
+    return o == size ? 0 : FSST_SHORT;
 }
 
 /* ------------------------------------------------------------ training */

@@ -328,7 +328,7 @@ def _decode_payload(
         if codec == R.DELTA_BYTE_ARRAY:
             return delta.decode_byte_array(payload)
         if codec == R.FSST:
-            return fsst.decode_byte_array(payload)
+            return fsst.decode_byte_array(payload, n)
     elif ptype == R.FIXED_LEN_BYTE_ARRAY:
         if codec == R.DICT:
             vals, idx = dictionary.decode(payload, "FIXED_LEN_BYTE_ARRAY", n, flba_width)
@@ -660,10 +660,9 @@ def _reassemble(decoded, ty, ptype, n, n_null, validity, flba_width) -> pa.Array
         return _cast_back(storage, ty)
     if ptype == R.BYTE_ARRAY:
         if isinstance(decoded, pa.Array):  # DICT path returns a pa array
-            data_np, offsets = dictionary._byte_array_buffers(decoded)
-            data = data_np
+            data, offsets = dictionary._byte_array_buffers(decoded)
         else:
-            data, offsets = decoded
+            data, offsets = decoded  # data: any buffer, handed to Arrow as is
         if n_null:
             mask = _valid_mask(validity, n)
             lengths = np.diff(offsets)
@@ -673,9 +672,12 @@ def _reassemble(decoded, ty, ptype, n, n_null, validity, flba_width) -> pa.Array
             np.cumsum(full_len, out=offsets[1:])
         storage = pa.Array.from_buffers(
             pa.large_binary(), n,
-            [validity_buf, pa.py_buffer(offsets.astype(np.int64).tobytes()), pa.py_buffer(bytes(data))],
+            [validity_buf, pa.py_buffer(np.asarray(offsets, dtype=np.int64)), pa.py_buffer(data)],
         )
-        return _cast_back(storage, ty)
+        try:
+            return _cast_back(storage, ty)  # validates UTF-8 for strings
+        except pa.ArrowInvalid as e:
+            raise ChunkError(f"decoded values are not valid {ty}: {e}") from e
     if ptype == R.FIXED_LEN_BYTE_ARRAY:
         if isinstance(decoded, pa.Array):  # DICT path returns a pa array
             decoded = _flba_bytes(decoded.combine_chunks() if isinstance(decoded, pa.ChunkedArray) else decoded)

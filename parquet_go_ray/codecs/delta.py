@@ -145,6 +145,19 @@ def decode_binary_packed(buf: bytes, bits: int, pos: int = 0) -> tuple[np.ndarra
     miniblocks, pos = uvarint_decode(buf, pos)
     n, pos = uvarint_decode(buf, pos)
     first, pos = svarint_decode(buf, pos)
+    # the spec's header rules; they also keep a corrupt header from
+    # dividing by zero below
+    if (
+        block_size <= 0
+        or block_size % 128
+        or miniblocks <= 0
+        or block_size % miniblocks
+        or (block_size // miniblocks) % 32
+    ):
+        raise ValueError(
+            f"DELTA_BINARY_PACKED: bad header ({block_size} values per "
+            f"block, {miniblocks} miniblocks)"
+        )
     dtype = np.int32 if bits == 32 else np.int64
     if n == 0:
         return np.empty(0, dtype=dtype), pos

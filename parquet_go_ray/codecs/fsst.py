@@ -10,7 +10,20 @@ Scheme: up to 255 symbols of 1..8 bytes, codes 0..254; code 255 is an
 escape followed by one literal byte. Encoding replaces greedy
 longest-match symbol occurrences with their 1-byte code.
 
-Everything is vectorized:
+Encode and decode run in C (``fsst_encode``/``fsst_decode`` in
+_fsst_native.c, loaded through ``native.load``) whenever a compiler is
+present:
+
+- encode is a greedy longest-match scan over 4 KiB blocks that writes the
+  whole code stream, block-length header included, in one pass;
+- decode skips that header and writes each symbol with one unconditional
+  8-byte store (the paper's design) straight into the buffer that becomes
+  the Arrow value buffer. ``decode_byte_array`` sizes that buffer exactly
+  from the value lengths, plus 8 bytes of slack, and hands Arrow a view of
+  it; the decoded length must equal the sum of the lengths.
+
+The numpy implementation is the reference and the fallback without a
+compiler. It is vectorized:
 
 - symbol matching: 8-byte little-endian windows of the input as uint64,
   masked per symbol length, membership via ``np.searchsorted`` against the
@@ -20,6 +33,9 @@ Everything is vectorized:
   start" function as an array and extract the visited-position path in
   O(log n) vectorized gathers;
 - output assembly via cumsum offsets + fancy-index scatter.
+
+A corrupt stream or payload raises ``codecs.chunk.ChunkError`` on both
+paths.
 
 Training is a simplified version of the paper's iterative algorithm: at
 each round, tokenize a bounded sample with the current table, count token
@@ -122,10 +138,8 @@ def _path_positions(
 
 class SymbolTable:
     __slots__ = (
-        "symbols",
-        "_lens",
-        "_concat",
-        "_concat_off",
+        "_symbols",
+        "_n",
         "_l1",
         "_l2",
         "_prefix3",
@@ -142,44 +156,65 @@ class SymbolTable:
     def __init__(self, symbols: list[bytes]):
         if len(symbols) > MAX_SYMBOLS:
             raise ValueError("too many symbols")
-        self.symbols = symbols
+        lens = np.fromiter(map(len, symbols), dtype=np.uint8, count=len(symbols))
+        self._build(lens, b"".join(symbols))
+        self._symbols = symbols
+
+    def _build(self, lens: np.ndarray, concat) -> None:
+        """Tables from the symbol lengths and the concatenated symbols."""
+        n = len(lens)
+        self._n = n
+        self._symbols = None  # the list is built on first use
         # numpy matcher structures (l1/l2/prefix3/LPM) are built lazily
         # on first _match: the native path never needs them, and the
         # 16 MiB prefix table is the dominant construction cost
         self._l1 = None
-        # decoding structures
-        self._lens = np.array([len(s) for s in symbols] + [0], dtype=np.int64)
-        concat = b"".join(symbols)
-        self._concat = np.frombuffer(concat, dtype=np.uint8) if concat else np.empty(0, np.uint8)
-        off = np.zeros(len(symbols) + 1, dtype=np.int64)
-        np.cumsum(self._lens[:-1], out=off[1:])
-        self._concat_off = off
-        # native-path tables: 8-byte padded symbol matrix + u8 lengths
+        # 8-byte zero-padded symbol matrix + u8 lengths: what the C
+        # kernels and the numpy decoder read. Row-major order of the mask
+        # is symbol by symbol, byte by byte: the order of `concat`.
         self._packed = np.zeros((MAX_SYMBOLS, 8), dtype=np.uint8)
+        self._packed[:n][np.arange(MAX_SYMBOL_LEN) < lens[:, None]] = np.frombuffer(
+            concat, dtype=np.uint8
+        )
         self._lens_u8 = np.zeros(MAX_SYMBOLS, dtype=np.uint8)
-        lens = self._lens[:-1]
-        rows = np.repeat(np.arange(len(symbols)), lens)
-        self._packed[rows, np.arange(len(concat)) - off[rows]] = self._concat
-        self._lens_u8[: len(symbols)] = lens
+        self._lens_u8[:n] = lens
+
+    @property
+    def symbols(self) -> list[bytes]:
+        """The symbols in code order."""
+        if self._symbols is None:
+            self._symbols = [
+                self._packed[i, :ln].tobytes()
+                for i, ln in enumerate(self._lens_u8[: self._n].tolist())
+            ]
+        return self._symbols
 
     # ------------------------------------------------------------ wire form
     def serialize(self) -> bytes:
-        out = [bytes([len(self.symbols)])]
-        out.append(bytes(len(s) for s in self.symbols))
+        out = [bytes([self._n]), self._lens_u8[: self._n].tobytes()]
         out.extend(self.symbols)
         return b"".join(out)
 
     @classmethod
     def deserialize(cls, buf, pos: int = 0) -> tuple["SymbolTable", int]:
+        """(table, position after it) from any buffer, without a Python
+        loop over the symbols. Raises ChunkError if the table runs past
+        the buffer or a symbol length is not 1..8."""
+        if pos >= len(buf):
+            raise _corrupt("symbol table is truncated")
         n = buf[pos]
-        pos += 1
-        lens = list(buf[pos : pos + n])
-        pos += n
-        symbols = []
-        for ln in lens:
-            symbols.append(bytes(buf[pos : pos + ln]))
-            pos += ln
-        return cls(symbols), pos
+        if pos + 1 + n > len(buf):
+            raise _corrupt("symbol table is truncated")
+        lens = np.frombuffer(buf, dtype=np.uint8, count=n, offset=pos + 1)
+        pos += 1 + n
+        end = pos + int(lens.sum())
+        if end > len(buf):
+            raise _corrupt("symbol table is truncated")
+        if (lens - np.uint8(1) >= MAX_SYMBOL_LEN).any():  # 0 wraps to 255
+            raise _corrupt("symbol length outside 1..8")
+        table = cls.__new__(cls)
+        table._build(lens, buf[pos:end])
+        return table, end
 
     # ------------------------------------------------------------ tokenize
     def _build_match_structs(self) -> None:
@@ -234,7 +269,7 @@ class SymbolTable:
         n = len(buf)
         bestlen = np.zeros(n, dtype=np.int8)
         symid = np.zeros(n, dtype=np.uint8)
-        if not self.symbols or n == 0:
+        if not self._n or n == 0:
             return bestlen, symid
         # 2-byte little-endian view at every position
         w16 = buf[: max(n - 1, 0)].astype(np.uint16)
@@ -316,10 +351,11 @@ class SymbolTable:
         return starts, lengths, codes
 
     # ------------------------------------------------------------ en/decode
-    def encode(self, data: bytes) -> bytes:
-        """Code stream: [uvarint n_blocks][uvarint code-bytes per input
-        BLOCK]... [codes]. The per-block lengths let decode start a path
-        root at every block (log2(block) doubling rounds, all blocks in
+    def encode(self, data):
+        """Code stream of `data` (any buffer) as a bytes-like object:
+        [uvarint n_blocks][uvarint code bytes per input BLOCK]...[codes].
+        The per-block lengths let the numpy decoder start a path root at
+        every block (log2(block) doubling rounds, all blocks in
         parallel). Uses the native C tokenizer when available."""
         lib = _native()
         if lib is not None:
@@ -344,92 +380,131 @@ class SymbolTable:
         header.extend(uvarint_encode(int(x)) for x in block_lens)
         return b"".join(header) + out.tobytes()
 
-    def _encode_native(self, lib, data: bytes) -> bytes:
-        n = len(data)
+    def _encode_native(self, lib, data) -> memoryview:
         buf = np.frombuffer(data, dtype=np.uint8)
-        out = np.empty(2 * n + 16, dtype=np.uint8)
-        block_lens = np.empty(n // BLOCK + 2, dtype=np.int64)
+        n = len(buf)
+        # encode_bound in _fsst_native.c: every byte an escape pair, plus
+        # the longest block-length header
+        out = np.empty(2 * n + 12 + 2 * (n // BLOCK), dtype=np.uint8)
+        block_lens = np.empty(n // BLOCK + 1, dtype=np.int64)
+        start = ctypes.c_int64(0)
         out_len = ctypes.c_int64(0)
-        n_blocks = ctypes.c_int64(0)
         rc = lib.fsst_encode(
             _ptr(buf) if n else None,
             ctypes.c_int64(n),
             _ptr(self._packed),
             _ptr(self._lens_u8),
-            ctypes.c_int32(len(self.symbols)),
+            ctypes.c_int32(self._n),
             _ptr(out),
-            ctypes.byref(out_len),
+            ctypes.c_int64(len(out)),
             _ptr(block_lens),
-            ctypes.byref(n_blocks),
+            ctypes.byref(start),
+            ctypes.byref(out_len),
         )
         if rc != 0:
             raise RuntimeError(f"native fsst_encode failed rc={rc}")
-        nb = int(n_blocks.value)
-        header = [uvarint_encode(nb)]
-        header.extend(uvarint_encode(int(x)) for x in block_lens[:nb])
-        return b"".join(header) + out[: int(out_len.value)].tobytes()
+        return memoryview(out)[start.value : start.value + out_len.value]
 
-    def _decode_native(self, lib, codes: np.ndarray) -> bytes:
-        n = len(codes)
-        out = np.empty(8 * n + 16, dtype=np.uint8)
-        out_len = ctypes.c_int64(0)
-        codes = np.ascontiguousarray(codes)
-        rc = lib.fsst_decode(
-            _ptr(codes),
-            ctypes.c_int64(n),
-            _ptr(self._packed),
-            _ptr(self._lens_u8),
-            ctypes.c_int32(len(self.symbols)),
-            _ptr(out),
-            ctypes.c_int64(len(out)),
-            ctypes.byref(out_len),
-        )
-        if rc != 0:
-            raise ValueError(f"native fsst_decode failed rc={rc}")
-        return out[: int(out_len.value)].tobytes()
-
-    def decode(self, stream: bytes) -> bytes:
-        n_blocks, pos = uvarint_decode(stream, 0)
-        block_lens = np.empty(n_blocks, dtype=np.int64)
-        for i in range(n_blocks):
-            block_lens[i], pos = uvarint_decode(stream, pos)
-        b = np.frombuffer(stream, dtype=np.uint8, offset=pos)
-        n = len(b)
-        if n == 0:
-            return b""
+    def decode(self, stream, size: int) -> np.ndarray:
+        """Decode a code stream (any buffer) that must decode to exactly
+        `size` bytes: the stream does not record its decoded length, the
+        byte-array codec knows it from its value lengths. Returns a
+        uint8 array of `size` bytes. Raises ChunkError if the stream is
+        corrupt or decodes to any other length."""
+        b = np.frombuffer(stream, dtype=np.uint8)
+        # a code expands to at most 8 bytes: a larger size is corrupt,
+        # and must not size an allocation
+        if size < 0 or size > MAX_SYMBOL_LEN * len(b):
+            raise _corrupt(f"{size} decoded bytes cannot come from {len(b)} code bytes")
         lib = _native()
         if lib is not None:
-            return self._decode_native(lib, b)
+            return self._decode_native(lib, b, size)
+        return self._decode_numpy(b, size)
+
+    def _decode_native(self, lib, b: np.ndarray, size: int) -> np.ndarray:
+        # 8 bytes of slack: each symbol is one unconditional 8-byte store
+        out = np.empty(size + MAX_SYMBOL_LEN, dtype=np.uint8)
+        rc = lib.fsst_decode(
+            _ptr(b),
+            ctypes.c_int64(len(b)),
+            _ptr(self._packed),
+            _ptr(self._lens_u8),
+            ctypes.c_int32(self._n),
+            _ptr(out),
+            ctypes.c_int64(size),
+        )
+        if rc != 0:
+            raise _corrupt(_DECODE_ERRORS.get(rc, f"fsst_decode rc={rc}"))
+        return out[:size]
+
+    def _decode_numpy(self, b: np.ndarray, size: int) -> np.ndarray:
+        mv = memoryview(b)  # uvarint_decode needs int items
+        try:
+            n_blocks, pos = uvarint_decode(mv, 0)
+            if n_blocks > len(mv):  # each block length takes a byte
+                raise IndexError
+            block_lens = np.empty(n_blocks, dtype=np.int64)
+            for i in range(n_blocks):
+                block_lens[i], pos = uvarint_decode(mv, pos)
+        except IndexError:
+            raise _corrupt(_DECODE_ERRORS[1]) from None
+        b = b[pos:]
+        n = len(b)
+        if int(block_lens.sum()) != n:
+            raise _corrupt(_DECODE_ERRORS[5])
+        if n == 0:
+            if size:
+                raise _corrupt(_DECODE_ERRORS[4])
+            return np.empty(0, dtype=np.uint8)
         roots = np.zeros(n_blocks, dtype=np.int64)
         np.cumsum(block_lens[:-1], out=roots[1:])
         step = np.where(b == ESCAPE, 2, 1)
         starts = _path_positions(step, n, roots)
         tok = b[starts]
         is_esc = tok == ESCAPE
-        out_len = np.where(is_esc, 1, self._lens[np.minimum(tok, len(self.symbols))])
-        # invalid codes (>= len(symbols), not escape) would give length 0;
-        # they cannot occur in our own streams.
+        if is_esc[-1] and starts[-1] == n - 1:
+            raise _corrupt(_DECODE_ERRORS[1])
+        lens = np.append(self._lens_u8, 0).astype(np.int64)  # escape: 0
+        if ((lens[tok] == 0) & ~is_esc).any():
+            raise _corrupt(_DECODE_ERRORS[2])
+        out_len = np.where(is_esc, 1, lens[tok])
         out_off = np.zeros(len(starts) + 1, dtype=np.int64)
         np.cumsum(out_len, out=out_off[1:])
-        out = np.empty(int(out_off[-1]), dtype=np.uint8)
+        if int(out_off[-1]) != size:
+            raise _corrupt(_DECODE_ERRORS[3 if out_off[-1] > size else 4])
+        out = np.empty(size, dtype=np.uint8)
         # escapes: literal byte
-        out[out_off[:-1][is_esc]] = b[np.minimum(starts[is_esc] + 1, n - 1)]
-        # symbols: gather from the concatenated symbol buffer
+        out[out_off[:-1][is_esc]] = b[starts[is_esc] + 1]
+        # symbols: gather from the padded symbol matrix
         sym_mask = ~is_esc
         if sym_mask.any():
             s_codes = tok[sym_mask].astype(np.int64)
-            s_lens = self._lens[s_codes]
+            s_lens = lens[s_codes]
             total = int(s_lens.sum())
-            src = np.repeat(self._concat_off[s_codes], s_lens) + (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(np.cumsum(s_lens) - s_lens, s_lens)
+            within = np.arange(total, dtype=np.int64) - np.repeat(
+                np.cumsum(s_lens) - s_lens, s_lens
             )
-            dst = np.repeat(out_off[:-1][sym_mask], s_lens) + (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(np.cumsum(s_lens) - s_lens, s_lens)
-            )
-            out[dst] = self._concat[src]
-        return out.tobytes()
+            src = np.repeat(s_codes * MAX_SYMBOL_LEN, s_lens) + within
+            dst = np.repeat(out_off[:-1][sym_mask], s_lens) + within
+            out[dst] = self._packed.ravel()[src]
+        return out
+
+
+# fsst_decode's return codes (the FSST_* enum in _fsst_native.c); the
+# numpy decoder raises the same messages
+_DECODE_ERRORS = {
+    1: "code stream is truncated",
+    2: "code outside the symbol table",
+    3: "code stream decodes past the value lengths",
+    4: "code stream decodes short of the value lengths",
+    5: "block lengths do not match the code stream",
+}
+
+
+def _corrupt(msg: str) -> Exception:
+    from .chunk import ChunkError  # chunk imports this module
+
+    return ChunkError(f"corrupt FSST payload: {msg}")
 
 
 def train(data, max_symbols: int = MAX_SYMBOLS, iters: int = TRAIN_ITERS) -> SymbolTable:
@@ -519,9 +594,9 @@ def _train_numpy(sample: bytes, max_symbols: int, iters: int) -> SymbolTable:
 
 
 def encode_byte_array(
-    data: bytes, offsets: np.ndarray, table: SymbolTable | None = None
+    data, offsets: np.ndarray, table: SymbolTable | None = None
 ) -> bytes:
-    """FSST codec for a string/binary column chunk.
+    """FSST codec for a string/binary column chunk (`data` is any buffer).
 
     Layout: [symbol table][uvarint len(lengths_block)][DELTA_BINARY_PACKED
     int32 value lengths][uvarint n_codes][FSST code stream]. The whole
@@ -534,33 +609,55 @@ def encode_byte_array(
 
     if table is None:
         table = train(data)
-    codes = table.encode(bytes(data))
+    codes = table.encode(data)
     lengths = np.diff(np.asarray(offsets, dtype=np.int64)).astype(np.int32)
     lblock = delta.encode_binary_packed(lengths, 32)
-    return (
-        table.serialize()
-        + uvarint_encode(len(lblock))
-        + lblock
-        + uvarint_encode(len(codes))
-        + codes
+    return b"".join(
+        (
+            table.serialize(),
+            uvarint_encode(len(lblock)),
+            lblock,
+            uvarint_encode(len(codes)),
+            codes,
+        )
     )
 
 
-def decode_byte_array(buf: bytes) -> tuple[bytes, np.ndarray]:
-    from . import delta
-
+def decode_byte_array(buf, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of encode_byte_array for a chunk of `n` values: (value
+    bytes as a uint8 array, int64 offsets of length n + 1). The value
+    bytes are decoded once, straight into the array that callers hand to
+    Arrow. Raises ChunkError on a corrupt payload."""
+    buf = memoryview(buf)
     table, pos = SymbolTable.deserialize(buf, 0)
-    blen, pos = uvarint_decode(buf, pos)
-    lengths, _ = decode_lengths(buf, pos, blen)
-    pos += blen
-    clen, pos = uvarint_decode(buf, pos)
-    data = table.decode(bytes(buf[pos : pos + clen]))
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    try:
+        blen, pos = uvarint_decode(buf, pos)
+        lengths = _decode_lengths(buf[pos : pos + blen], n)
+        clen, pos = uvarint_decode(buf, pos + blen)
+    except IndexError:
+        raise _corrupt("payload is truncated") from None
+    if pos + clen != len(buf):
+        raise _corrupt(f"code stream is {len(buf) - pos} bytes, header says {clen}")
+    offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    return data, offsets
+    return table.decode(buf[pos:], int(offsets[-1])), offsets
 
 
-def decode_lengths(buf, pos, blen):
+def _decode_lengths(block, n: int) -> np.ndarray:
+    """The n value lengths of a DELTA_BINARY_PACKED lengths block."""
     from . import delta
 
-    return delta.decode_binary_packed(bytes(buf[pos : pos + blen]), 32)
+    # header: block size, miniblocks, value count — checked before the
+    # count sizes anything
+    _, pos = uvarint_decode(block, 0)
+    _, pos = uvarint_decode(block, pos)
+    count, _ = uvarint_decode(block, pos)
+    if count != n:
+        raise _corrupt(f"lengths block holds {count} values, the chunk {n}")
+    try:
+        lengths, _ = delta.decode_binary_packed(block, 32)
+    except ValueError as e:
+        raise _corrupt(f"lengths block: {e}") from e
+    if n and int(lengths.min()) < 0:
+        raise _corrupt("negative value length")
+    return lengths

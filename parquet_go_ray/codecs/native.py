@@ -2,8 +2,10 @@
 
 Compiles a sibling .c file once per host with the system cc into a
 per-user 0700 cache dir (sha-keyed by source, so edits recompile) and
-dlopens it. Every kernel has a pure-numpy/Python fallback — a missing
-compiler just means the slower path.
+dlopens it. Every kernel has a pure-numpy/Python fallback, several times
+slower, so a kernel that does not load is not silent: its error is kept
+per source file (``_ERRORS``) and the first one in a process raises a
+RuntimeWarning naming the file and the tail of cc's stderr.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import warnings
 from pathlib import Path
 
 _LIBS: dict[str, object] = {}
+_ERRORS: dict[str, str] = {}  # source file -> why it did not load
+_WARNED = False
 
 
 def _cache_dir() -> Path:
@@ -62,7 +67,27 @@ def load(src_filename: str):
             os.replace(tmp, so)
         if os.stat(so).st_uid == os.getuid():
             lib = ctypes.CDLL(str(so))
-    except Exception:
-        lib = None
+    except (OSError, subprocess.SubprocessError) as e:
+        _fallback(src_filename, e)
     _LIBS[src_filename] = lib or False
     return lib
+
+
+def _fallback(src_filename: str, err: Exception) -> None:
+    """Record why a kernel did not load; warn on the first in a process."""
+    global _WARNED
+    why = f"{type(err).__name__}: {err}"
+    stderr = getattr(err, "stderr", None)
+    if stderr:
+        if isinstance(stderr, bytes):
+            stderr = stderr.decode(errors="replace")
+        why += "\n" + "\n".join(stderr.strip().splitlines()[-8:])
+    _ERRORS[src_filename] = why
+    if not _WARNED:
+        _WARNED = True
+        warnings.warn(
+            f"native kernel {src_filename} did not load; its codecs run the "
+            f"slower numpy fallback. {why}",
+            RuntimeWarning,
+            stacklevel=3,
+        )

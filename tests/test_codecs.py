@@ -352,3 +352,22 @@ class TestFloat16:
         out = decode_array(encode_array(arr))
         assert out.type == arr.type
         assert out.to_pylist() == arr.to_pylist()
+
+
+@pytest.mark.parametrize(
+    "block_size,miniblocks",
+    [(0, 4), (128, 0), (100, 4), (128, 3), (128, 8)],
+)
+def test_delta_rejects_bad_block_header(block_size, miniblocks):
+    """DELTA_BINARY_PACKED headers that break the spec's rules (block size
+    a positive multiple of 128, miniblocks dividing it into multiples of
+    32 values) raise instead of dividing by zero or misreading."""
+    from parquet_go_ray.codecs import delta
+    from parquet_go_ray.codecs._util import uvarint_encode
+
+    good = delta.encode_binary_packed(np.arange(50, dtype=np.int32), 32)
+    assert delta.decode_binary_packed(good, 32)[0].tolist() == list(range(50))
+    # the writer's header starts with block size 128 (2 bytes), then 4
+    bad = uvarint_encode(block_size) + uvarint_encode(miniblocks) + good[3:]
+    with pytest.raises(ValueError, match="bad header"):
+        delta.decode_binary_packed(bad, 32)

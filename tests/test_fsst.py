@@ -4,12 +4,17 @@ import contextlib
 import os
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from parquet_go_ray.codecs import fsst, native
+
+
+def _roundtrip(table, data: bytes) -> bytes:
+    return table.decode(table.encode(data), len(data)).tobytes()
 
 
 def test_roundtrip_text():
@@ -19,20 +24,20 @@ def test_roundtrip_text():
     data = "\n".join(texts).encode()
     table = fsst.train(data)
     enc = table.encode(data)
-    assert table.decode(enc) == data
+    assert table.decode(enc, len(data)).tobytes() == data
     assert len(enc) < len(data) // 2  # must actually compress natural text
 
 
 def test_escape_bytes():
     data = b"\xff" * 100 + b"ab\xff\xffcd" + bytes(range(256))
     table = fsst.train(data)
-    assert table.decode(table.encode(data)) == data
+    assert _roundtrip(table, data) == data
 
 
 def test_empty_and_tiny():
     for data in [b"", b"a", b"ab", b"\xff"]:
         t = fsst.train(data)
-        assert t.decode(t.encode(data)) == data
+        assert _roundtrip(t, data) == data
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -41,7 +46,7 @@ def test_fuzz_random_alphabets(seed):
     alpha = int(r.integers(1, 256))
     raw = r.integers(0, alpha, int(r.integers(0, 4000))).astype(np.uint8).tobytes()
     t = fsst.train(raw)
-    assert t.decode(t.encode(raw)) == raw
+    assert _roundtrip(t, raw) == raw
 
 
 def test_byte_array_codec():
@@ -50,8 +55,9 @@ def test_byte_array_codec():
     buf = b"".join(strs)
     off = np.cumsum([0] + [len(s) for s in strs])
     e = fsst.encode_byte_array(buf, off)
-    d, o = fsst.decode_byte_array(e)
-    assert d == buf
+    d, o = fsst.decode_byte_array(e, len(strs))
+    assert d.dtype == np.uint8 and len(d) == len(buf)
+    assert d.tobytes() == buf
     assert np.array_equal(o, off)
 
 
@@ -82,8 +88,8 @@ def test_native_numpy_cross_compat():
     native_stream = table.encode(data)
     with _numpy_only():
         numpy_stream = table.encode(data)
-        assert table.decode(native_stream) == data  # numpy decodes native
-    assert table.decode(numpy_stream) == data  # native decodes numpy
+        assert table.decode(native_stream, len(data)).tobytes() == data  # numpy decodes native
+    assert table.decode(numpy_stream, len(data)).tobytes() == data  # native decodes numpy
     assert len(native_stream) == len(numpy_stream)
 
 
@@ -184,3 +190,216 @@ def test_table_serialization():
     table2, pos = fsst.SymbolTable.deserialize(blob)
     assert pos == len(blob)
     assert table2.symbols == table.symbols
+
+
+# ------------------------------------------------ decode into Arrow buffers
+
+import zlib  # noqa: E402
+
+import pyarrow as pa  # noqa: E402
+
+from parquet_go_ray.codecs import chunk  # noqa: E402
+from parquet_go_ray.codecs import registry as R  # noqa: E402
+from parquet_go_ray.codecs._util import uvarint_encode  # noqa: E402
+
+_PATHS = ["native", "numpy"]
+
+
+@contextlib.contextmanager
+def _path(name: str):
+    if name == "native":
+        _require_native()
+        yield
+    else:
+        with _numpy_only():
+            yield
+
+
+def _fsst_chunk(arr: pa.Array, table: fsst.SymbolTable | None = None) -> bytes:
+    return chunk.encode_array(arr, codec=R.FSST, ctx={"fsst_table": table} if table else None)
+
+
+_DECODE_CASES = {
+    "empty_column": (pa.array([], pa.string()), None),
+    "all_empty_values": (pa.array([""] * 7, pa.string()), None),
+    "single_value": (pa.array(["one value"], pa.string()), None),
+    "nulls": (pa.array(["a", None, "bcd", None, None, "", "efgh" * 9, None]), None),
+    # the last code is an 8-byte symbol that ends on the last output byte
+    "eight_byte_symbol_last": (
+        pa.array([b"x", b"abcdefgh", b"yabcdefgh"], pa.binary()),
+        fsst.SymbolTable([b"abcdefgh"]),
+    ),
+    # the last code is a 1-byte symbol: its 8-byte store runs 7 bytes
+    # into the slack
+    "one_byte_symbol_last": (
+        pa.array([b"abcdefgh", b"q"], pa.binary()),
+        fsst.SymbolTable([b"abcdefgh", b"q"]),
+    ),
+    "several_blocks": (
+        pa.array([w.decode() for w in _words(5, 6000).split(b" ")], pa.string()),
+        None,
+    ),
+    "ff_and_zero_bytes": (
+        pa.array([b"\xff" * k + b"\x00" * (k % 5) for k in range(60)] + [None], pa.large_binary()),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DECODE_CASES))
+def test_decode_paths_agree(case):
+    """decode_array gives the input back on the native and the numpy
+    FSST decoder, from the same chunk bytes."""
+    arr, table = _DECODE_CASES[case]
+    blob = _fsst_chunk(arr, table)
+    assert blob[4] == R.FSST
+    got = {}
+    for name in _PATHS:
+        with _path(name):
+            got[name] = chunk.decode_array(blob)
+        assert got[name].equals(arr), name
+        assert got[name].type == arr.type
+
+
+def _stream(n_syms: int, codes: bytes, blocks: list[int] | bytes | None = None) -> tuple:
+    """A symbol table of n_syms 2-byte symbols and a hand-built stream:
+    a header from the block lengths (default: one block of all codes) or
+    given as raw bytes, then the codes."""
+    table = fsst.SymbolTable([bytes([65 + i, 97 + i]) for i in range(n_syms)])
+    blocks = [len(codes)] if blocks is None else blocks
+    if isinstance(blocks, bytes):
+        return table, blocks + codes
+    head = uvarint_encode(len(blocks)) + b"".join(uvarint_encode(b) for b in blocks)
+    return table, head + codes
+
+
+_CORRUPT_STREAMS = {
+    # (n_syms, codes, block lengths or None, decoded size, message)
+    "truncated_header": (1, b"", bytes([3, 5]), 2, "truncated"),
+    "trailing_escape": (1, bytes([0, 255]), None, 3, "truncated"),
+    "code_past_table": (2, bytes([0, 2]), None, 4, "outside the symbol table"),
+    "decodes_past_size": (1, bytes([0, 0]), None, 3, "past the value lengths"),
+    "decodes_short": (1, bytes([0, 255, 120]), None, 4, "short of the value lengths"),
+    "block_lengths_off": (1, bytes([0, 0]), [1], 4, "block lengths"),
+    "size_beyond_codes": (1, bytes([0]), None, 25, "cannot come from"),
+}
+
+
+@pytest.mark.parametrize("path", _PATHS)
+@pytest.mark.parametrize("case", sorted(_CORRUPT_STREAMS))
+def test_corrupt_stream_raises_chunk_error(case, path):
+    n_syms, codes, blocks, size, msg = _CORRUPT_STREAMS[case]
+    table, stream = _stream(n_syms, codes, blocks)
+    with _path(path), pytest.raises(chunk.ChunkError, match=msg):
+        table.decode(stream, size)
+
+
+def test_hand_built_stream_decodes():
+    """The hand-built streams above are well formed when not corrupted."""
+    table, stream = _stream(2, bytes([0, 255, 0x7A, 1]))
+    for path in _PATHS:
+        with _path(path):
+            assert table.decode(stream, 5).tobytes() == b"AazBb"
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_corrupt_byte_array_payload_raises_chunk_error(path):
+    data = _words(8, 300)
+    off = np.array([0, 100, len(data)])
+    table = fsst.train(data)
+    good = fsst.encode_byte_array(data, off, table)
+    with _path(path):
+        assert fsst.decode_byte_array(good, 2)[0].tobytes() == data
+        # truncated payload
+        for cut in (1, 7, len(good) // 2, len(good) - 3):
+            with pytest.raises(chunk.ChunkError):
+                fsst.decode_byte_array(good[:cut], 2)
+        # the value lengths do not sum to what the stream decodes to
+        for last in (len(data) + 1, len(data) - 1):
+            bad = fsst.encode_byte_array(data, np.array([0, 100, last]), table)
+            with pytest.raises(chunk.ChunkError, match="value lengths"):
+                fsst.decode_byte_array(bad, 2)
+        # the lengths block holds another value count than the chunk
+        with pytest.raises(chunk.ChunkError, match="lengths block"):
+            fsst.decode_byte_array(good, 3)
+
+
+def _fuzz_table() -> pa.Table:
+    rng = np.random.default_rng(9)
+    words = [w.decode() for w in _words(9, 900).split(b" ")]
+    text = [" ".join(words[i : i + int(rng.integers(0, 12))]) for i in range(0, 900, 6)]
+    text = [None if i % 7 == 3 else t for i, t in enumerate(text)]
+    raw = [rng.integers(0, 256, int(rng.integers(0, 40))).astype(np.uint8).tobytes() for _ in text]
+    return pa.table({"text": pa.array(text, pa.string()), "raw": pa.array(raw, pa.binary())})
+
+
+def _flip_payload(blob: bytes, rng, k: int) -> bytes:
+    """Flip k random payload bytes of a chunk and recompute its CRC."""
+    hdr = chunk._HDR.unpack_from(blob, 0)
+    type_len, validity_len, payload_len = hdr[7:10]
+    start = chunk._HDR.size + type_len + validity_len
+    body = bytearray(blob[:-4])
+    for p in rng.integers(start, start + payload_len, k):
+        body[p] ^= int(rng.integers(1, 256))
+    return bytes(body) + zlib.crc32(body).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("path", _PATHS)
+@pytest.mark.parametrize("seed", range(3))
+def test_fuzz_corrupt_payload(seed, path):
+    """Random payload flips behind valid CRCs (the chunk's own and the
+    chunk record's) either raise ChunkError or decode to exactly n
+    values; they never crash the process. Run under -X faulthandler."""
+    from parquet_go_ray.stages.decode import decode_chunk_table
+    from parquet_go_ray.stages.encode import encode_table
+
+    t = _fuzz_table()
+    records = encode_table(t, codec_overrides={"text": R.FSST, "raw": R.FSST}, bloom_columns=())
+    assert set(records.column("codec").to_pylist()) == {"fsst"}
+    blobs = records.column("payload").to_pylist()
+    rng = np.random.default_rng(seed)
+    raised = 0
+    with _path(path):
+        for it in range(150):
+            col = it % len(blobs)
+            bad = list(blobs)
+            bad[col] = _flip_payload(blobs[col], rng, int(rng.integers(1, 5)))
+            crcs = [zlib.crc32(b) for b in bad]
+            fuzzed = records.set_column(
+                records.schema.get_field_index("payload"), "payload", pa.array(bad, pa.binary())
+            ).set_column(
+                records.schema.get_field_index("crc32"),
+                "crc32",
+                pa.array(crcs, records.schema.field("crc32").type),
+            )
+            try:
+                out = decode_chunk_table(fuzzed)
+            except chunk.ChunkError:
+                raised += 1
+                continue
+            assert out.num_rows == t.num_rows
+            out.validate(full=True)
+    assert raised  # the flips did reach the checks
+
+
+def test_failed_native_build_warns_and_falls_back(monkeypatch, tmp_path):
+    """A C source that does not build gives None, keeps the error for
+    that file, and warns once per process with the tail of cc's stderr."""
+
+    def failing_cc(cmd, **kwargs):
+        raise subprocess.CalledProcessError(1, cmd, stderr=b"x.c:1: error: planted failure\n")
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native.subprocess, "run", failing_cc)
+    monkeypatch.setattr(native, "_LIBS", {})
+    monkeypatch.setattr(native, "_ERRORS", {})
+    monkeypatch.setattr(native, "_WARNED", False)
+    with pytest.warns(RuntimeWarning, match=r"_fsst_native\.c(.|\n)*planted failure"):
+        assert native.load("_fsst_native.c") is None
+    assert "planted failure" in native._ERRORS["_fsst_native.c"]
+    # a second failure is recorded but does not warn again
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert native.load("_plain_native.c") is None
+        assert native.load("_fsst_native.c") is None
+    assert set(native._ERRORS) == {"_fsst_native.c", "_plain_native.c"}
