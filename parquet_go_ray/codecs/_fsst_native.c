@@ -7,6 +7,9 @@
  * the code stream (escape 255 + literal byte). fsst_encode and
  * fsst_decode read and write the block-length header themselves, and
  * fsst_train returns the same symbol list as fsst.py's numpy trainer.
+ * The encoder and the trainer share one symbol lookup (fsst_lookup):
+ * fsst_encode's caller builds it once per table, the trainer once per
+ * round.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -16,17 +19,6 @@
 #define MAX_SYM_LEN 8
 #define ESCAPE 255
 #define BLOCK 4096
-#define NONE (-1)
-
-#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-/* FSST-paper probe: one masked 64-bit compare per chain entry instead of
- * a memcmp call (symbols are stored zero-padded to 8 bytes; on
- * little-endian a low-bytes mask keeps the first l bytes). ~2x on
- * html/text chunks. */
-#define USE_WORDS 1
-#else
-#define USE_WORDS 0
-#endif
 
 /* LEB128 varints of the stream's block-length header */
 static int uvarint_len(uint64_t v)
@@ -75,104 +67,205 @@ static int64_t header_bound(int64_t n)
     return 10 + 2 * (n / BLOCK + 1);
 }
 
-/* Greedy longest-match lookup structures for one symbol table. */
-typedef struct {
-    /* per-2-byte-prefix chains of symbols with len >= 3, longest first */
-    int32_t head[65536];
-    int32_t nxt[MAX_SYMS];
-    /* FSST-paper shortCodes split: len-2 symbols resolve via ONE
-     * direct-table load, so the common position never walks a chain */
-    int16_t best2[65536];
-    int16_t l1[256];
-    uint64_t sym_word[MAX_SYMS], sym_mask[MAX_SYMS];
-    uint8_t sym_bytes[MAX_SYMS * 8];
-    uint8_t sym_lens[MAX_SYMS];
-} matcher;
+/* ------------------------------------------------------------ lookup */
 
-static uint64_t low_bytes_mask(int len)
+/* The encoder's symbol lookup, after the FSST paper: one direct table for
+ * the 1- and 2-byte symbols and a hash table on the 3-byte prefix for the
+ * longer ones. It is an exact greedy longest match: at every position it
+ * picks the same symbol as a walk over all symbols, longest first and, of
+ * equal symbols, the highest code. A lookup result is (len << 8) | code;
+ * the escape is one input byte with code ESCAPE. */
+#define HASH_BITS 10
+#define HASH_SLOTS (1 << HASH_BITS)
+#define ESC_RESULT ((1u << 8) | ESCAPE)
+
+/* Words are little-endian: byte i of the input is bits 8i..8i+7. */
+static inline uint64_t load_le64(const uint8_t *p)
+{
+#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    uint64_t w;
+    memcpy(&w, p, 8);
+    return w;
+#else
+    uint64_t w = 0;
+    for (int i = 0; i < 8; i++) w |= (uint64_t)p[i] << (8 * i);
+    return w;
+#endif
+}
+
+/* The first rem (< 8) bytes at p, zero-padded. */
+static inline uint64_t load_le_tail(const uint8_t *p, int64_t rem)
+{
+    uint64_t w = 0;
+    for (int64_t i = 0; i < rem; i++) w |= (uint64_t)p[i] << (8 * i);
+    return w;
+}
+
+static inline uint64_t low_bytes_mask(int len)
 {
     return len >= 8 ? ~(uint64_t)0 : (((uint64_t)1 << (8 * len)) - 1);
 }
 
-static void matcher_build(matcher *m, const uint8_t *sym_bytes,
-                          const uint8_t *sym_lens, int32_t n_syms)
+static inline uint32_t hash3(uint64_t w)
 {
-    int32_t i;
-    int len;
-    memcpy(m->sym_bytes, sym_bytes, (size_t)n_syms * 8);
-    memcpy(m->sym_lens, sym_lens, (size_t)n_syms);
-    memset(m->l1, -1, sizeof(m->l1));
-    memset(m->best2, -1, sizeof(m->best2));
-    for (i = 0; i < 65536; i++) m->head[i] = NONE;
-    /* insert ascending by length so each chain ends longest-first */
-    for (len = 3; len <= MAX_SYM_LEN; len++) {
-        for (i = 0; i < n_syms; i++) {
-            if (sym_lens[i] != len) continue;
-            int p = sym_bytes[i * 8] | (sym_bytes[i * 8 + 1] << 8);
-            m->nxt[i] = m->head[p];
-            m->head[p] = i;
-        }
-    }
-    for (i = 0; i < n_syms; i++)
-        if (sym_lens[i] == 2)
-            m->best2[sym_bytes[i * 8] | (sym_bytes[i * 8 + 1] << 8)] = (int16_t)i;
-    for (i = 0; i < n_syms; i++)
-        if (sym_lens[i] == 1) m->l1[sym_bytes[i * 8]] = (int16_t)i;
-    for (i = 0; i < n_syms; i++) {
-        uint64_t w;
-        memcpy(&w, sym_bytes + i * 8, 8);
-        m->sym_mask[i] = low_bytes_mask(sym_lens[i]);
-        m->sym_word[i] = w & m->sym_mask[i];
-    }
+    return ((uint32_t)(w & 0xFFFFFF) * 0x9E3779B1u) >> (32 - HASH_BITS);
 }
 
-/* Code of the longest symbol that is a prefix of p[0..rem) (rem >= 1),
- * with its length in *len; -1 if none. */
-static inline int matcher_match(const matcher *m, const uint8_t *p,
-                                int64_t rem, int *len)
+/* One symbol of 3..8 bytes: it matches word w when
+ * (w & (~0 >> shift)) == word. */
+typedef struct {
+    uint64_t word;
+    uint16_t result;
+    uint8_t shift;
+} long_sym;
+
+/* A hash slot keeps its two longest symbols inline, so the common
+ * position is decided with two compares and conditional moves; the rest
+ * go on an overflow run more[first_more .. first_more + n_more), walked
+ * only when neither inline symbol matches. An empty inline entry is a
+ * word no masked input can equal. */
+typedef struct {
+    uint64_t word[2];
+    uint16_t result[2];
+    uint8_t shift[2];
+    uint8_t first_more, n_more;
+} hash_slot;
+
+typedef struct {
+    /* per 2-byte prefix: the 2-byte symbol, else the 1-byte symbol of
+     * the first byte, else the escape */
+    uint16_t short_codes[65536];
+    /* per byte: the 1-byte symbol, else the escape */
+    uint16_t byte_codes[256];
+    hash_slot slots[HASH_SLOTS];
+    long_sym more[MAX_SYMS];
+} fsst_lookup;
+
+int32_t fsst_lookup_size(void)
 {
-    if (rem >= 2) {
-        int pre = p[0] | (p[1] << 8);
-        int32_t s = m->head[pre];
-        if (s != NONE) {
-#if USE_WORDS
-            uint64_t w;
-            if (rem >= 8) {
-                memcpy(&w, p, 8);
-            } else {
-                /* zero-padded tail load: symbols longer than rem are
-                 * rejected by the length check, and shorter masks only
-                 * see real bytes */
-                w = 0;
-                memcpy(&w, p, (size_t)rem);
-            }
-            for (; s != NONE; s = m->nxt[s]) {
-                int l = m->sym_lens[s];
-                if (l <= rem && (w & m->sym_mask[s]) == m->sym_word[s]) {
-                    *len = l;
-                    return s;
-                }
-            }
-#else
-            for (; s != NONE; s = m->nxt[s]) {
-                int l = m->sym_lens[s];
-                if (l <= rem && memcmp(p, m->sym_bytes + s * 8, l) == 0) {
-                    *len = l;
-                    return s;
-                }
-            }
-#endif
-        }
-        if (m->best2[pre] >= 0) {
-            *len = 2;
-            return m->best2[pre];
+    return (int32_t)sizeof(fsst_lookup);
+}
+
+/* The slot a 3-byte prefix hashes to (exported for tests that need
+ * symbols that share a slot). */
+int32_t fsst_hash_slot(const uint8_t *prefix3)
+{
+    return (int32_t)hash3(load_le_tail(prefix3, 3));
+}
+
+/* Builds the lookup for symbols sym_bytes (8 bytes each, zero-padded) /
+ * sym_lens. Returns 0, or 1 on a bad symbol count. */
+int fsst_lookup_build(const uint8_t *sym_bytes, const uint8_t *sym_lens,
+                      int32_t n_syms, fsst_lookup *lk)
+{
+    if (n_syms < 0 || n_syms > MAX_SYMS) return 1;
+    int32_t i;
+    for (i = 0; i < 256; i++) lk->byte_codes[i] = ESC_RESULT;
+    for (i = 0; i < n_syms; i++)
+        if (sym_lens[i] == 1)
+            lk->byte_codes[sym_bytes[i * 8]] = (uint16_t)((1 << 8) | i);
+    /* row b of short_codes holds the prefixes whose second byte is b */
+    for (i = 0; i < 256; i++)
+        memcpy(lk->short_codes + (i << 8), lk->byte_codes, sizeof(lk->byte_codes));
+    for (i = 0; i < n_syms; i++)
+        if (sym_lens[i] == 2)
+            lk->short_codes[sym_bytes[i * 8] | (sym_bytes[i * 8 + 1] << 8)] =
+                (uint16_t)((2 << 8) | i);
+    /* long symbols in match order: longest first, then highest code */
+    int32_t order[MAX_SYMS], n_long = 0;
+    for (int len = MAX_SYM_LEN; len >= 3; len--)
+        for (i = n_syms - 1; i >= 0; i--)
+            if (sym_lens[i] == len) order[n_long++] = i;
+    int n_in[HASH_SLOTS];
+    memset(n_in, 0, sizeof(n_in));
+    for (i = 0; i < HASH_SLOTS; i++) {
+        hash_slot *s = &lk->slots[i];
+        s->word[0] = s->word[1] = ~(uint64_t)0;
+        s->shift[0] = s->shift[1] = 40; /* 3-byte mask: never ~0 */
+        s->result[0] = s->result[1] = 0;
+        s->first_more = s->n_more = 0;
+    }
+    /* overflow runs are contiguous per slot: count them first */
+    for (i = 0; i < n_long; i++) {
+        uint32_t h = hash3(load_le64(sym_bytes + order[i] * 8));
+        if (n_in[h]++ >= 2) lk->slots[h].n_more++;
+    }
+    int next = 0;
+    for (i = 0; i < HASH_SLOTS; i++) {
+        lk->slots[i].first_more = (uint8_t)next;
+        next += lk->slots[i].n_more;
+        n_in[i] = 0;
+    }
+    for (i = 0; i < n_long; i++) {
+        int32_t code = order[i];
+        int len = sym_lens[code];
+        uint64_t word = load_le64(sym_bytes + code * 8) & low_bytes_mask(len);
+        uint16_t result = (uint16_t)((len << 8) | code);
+        uint8_t shift = (uint8_t)(64 - 8 * len);
+        uint32_t h = hash3(word);
+        hash_slot *s = &lk->slots[h];
+        int k = n_in[h]++;
+        if (k < 2) {
+            s->word[k] = word;
+            s->result[k] = result;
+            s->shift[k] = shift;
+        } else {
+            long_sym *m = &lk->more[s->first_more + k - 2];
+            m->word = word;
+            m->result = result;
+            m->shift = shift;
         }
     }
-    if (m->l1[p[0]] >= 0) {
-        *len = 1;
-        return m->l1[p[0]];
-    }
-    return -1;
+    return 0;
+}
+
+static inline int sym_matches(uint64_t w, uint64_t word, int shift)
+{
+    return (w & (~(uint64_t)0 >> shift)) == word;
+}
+
+/* First overflow symbol of slot s that matches w and fits in rem bytes,
+ * else fallback. */
+static uint32_t lookup_more(const fsst_lookup *lk, const hash_slot *s,
+                            uint64_t w, int64_t rem, uint32_t fallback)
+{
+    const long_sym *m = lk->more + s->first_more;
+    for (int k = 0; k < s->n_more; k++)
+        if ((m[k].result >> 8) <= rem && sym_matches(w, m[k].word, m[k].shift))
+            return m[k].result;
+    return fallback;
+}
+
+/* Lookup at a position with at least 8 bytes left in its block; w holds
+ * those 8 bytes. Every symbol fits, so the inline pair is decided with
+ * conditional moves; the overflow walk is the rare branch. */
+static inline uint32_t lookup_word(const fsst_lookup *lk, uint64_t w)
+{
+    const hash_slot *s = &lk->slots[hash3(w)];
+    uint32_t sc = lk->short_codes[w & 0xFFFF];
+    uint32_t r = sc;
+    r = sym_matches(w, s->word[1], s->shift[1]) ? s->result[1] : r;
+    r = sym_matches(w, s->word[0], s->shift[0]) ? s->result[0] : r;
+    if (__builtin_expect(r == sc && s->n_more, 0))
+        r = lookup_more(lk, s, w, 8, sc);
+    return r;
+}
+
+/* Exact lookup at p with rem >= 1 bytes left in its block. */
+static uint32_t lookup_at(const fsst_lookup *lk, const uint8_t *p,
+                          int64_t rem)
+{
+    if (rem >= 8) return lookup_word(lk, load_le64(p));
+    if (rem == 1) return lk->byte_codes[p[0]];
+    uint64_t w = load_le_tail(p, rem);
+    uint32_t sc = lk->short_codes[w & 0xFFFF];
+    if (rem == 2) return sc;
+    const hash_slot *s = &lk->slots[hash3(w)];
+    for (int k = 0; k < 2; k++)
+        if ((s->result[k] >> 8) <= rem &&
+            sym_matches(w, s->word[k], s->shift[k]))
+            return s->result[k];
+    return lookup_more(lk, s, w, rem, sc);
 }
 
 /* Largest stream fsst_encode writes for n input bytes: every byte an
@@ -182,43 +275,76 @@ static int64_t encode_bound(int64_t n)
     return 2 * n + header_bound(n);
 }
 
+#define LANES 4
+
+/* One token of a lane whose position has 8 bytes left in its block: the
+ * code and the input byte are both written, and the byte is kept only
+ * after an escape. */
+#define TOKEN_WORD(k)                                                  \
+    do {                                                               \
+        uint32_t r_ = lookup_word(lk, load_le64(data + pos[k]));        \
+        uint32_t c_ = r_ & 0xFF;                                       \
+        q[k][0] = (uint8_t)c_;                                         \
+        q[k][1] = data[pos[k]];                                        \
+        q[k] += 1 + (c_ == ESCAPE);                                    \
+        pos[k] += r_ >> 8;                                             \
+    } while (0)
+
 /* encode: greedy longest-match per position, matches never cross a
- * BLOCK boundary. Writes the whole stream, [uvarint n_blocks][uvarint
- * code bytes per block]...[codes], to out[*start .. *start + *out_len):
- * the codes go after room for the longest header, and the header is
- * written right before them once the block lengths are known.
- * block_lens is scratch for n / BLOCK + 1 values. Returns 0 on success,
- * 1 if out_cap < 2 * n + 10 + 2 * (n / BLOCK + 1). */
-int fsst_encode(const uint8_t *data, int64_t n,
-                const uint8_t *sym_bytes, /* MAX_SYMS * 8, padded */
-                const uint8_t *sym_lens,  /* MAX_SYMS */
-                int32_t n_syms,
-                uint8_t *out, int64_t out_cap,
-                int64_t *block_lens,
+ * BLOCK boundary. Blocks are independent, so LANES of them are tokenized
+ * in one interleaved loop: each token is a chain of dependent loads, and
+ * four chains keep the memory pipeline busy where one waits. Each lane
+ * writes to its own scratch, copied out in block order. The last 8 bytes
+ * of a block take the exact lookup, which checks that a symbol fits.
+ *
+ * Writes the whole stream, [uvarint n_blocks][uvarint code bytes per
+ * block]...[codes], to out[*start .. *start + *out_len): the codes go
+ * after room for the longest header, and the header is written right
+ * before them once the block lengths are known. lk is the table's lookup
+ * (fsst_lookup_build); block_lens is scratch for n / BLOCK + 1 values.
+ * Returns 0 on success, 1 if out_cap < 2 * n + 10 + 2 * (n / BLOCK + 1). */
+int fsst_encode(const uint8_t *data, int64_t n, const fsst_lookup *lk,
+                uint8_t *out, int64_t out_cap, int64_t *block_lens,
                 int64_t *start, int64_t *out_len)
 {
     if (n < 0 || out_cap < encode_bound(n)) return 1;
-    matcher m;
-    matcher_build(&m, sym_bytes, sym_lens, n_syms);
+    /* a lane's codes are at most 2 * BLOCK bytes; +1 for the byte every
+     * token writes after its code */
+    uint8_t scratch[LANES][2 * BLOCK + 1];
     int64_t hdr_cap = header_bound(n);
-    int64_t pos = 0, o = hdr_cap, nb = 0;
-    while (pos < n) {
-        int64_t block_end = pos + BLOCK;
-        if (block_end > n) block_end = n;
-        int64_t o_start = o;
-        while (pos < block_end) {
-            int len;
-            int code = matcher_match(&m, data + pos, block_end - pos, &len);
-            if (code >= 0) {
-                out[o++] = (uint8_t)code;
-                pos += len;
-            } else {
-                out[o++] = ESCAPE;
-                out[o++] = data[pos];
-                pos += 1;
-            }
+    int64_t o = hdr_cap, nb = (n + BLOCK - 1) / BLOCK;
+    for (int64_t b0 = 0; b0 < nb; b0 += LANES) {
+        int lanes = nb - b0 < LANES ? (int)(nb - b0) : LANES;
+        int64_t pos[LANES], end[LANES];
+        uint8_t *q[LANES];
+        for (int k = 0; k < lanes; k++) {
+            pos[k] = (b0 + k) * BLOCK;
+            end[k] = pos[k] + BLOCK < n ? pos[k] + BLOCK : n;
+            q[k] = scratch[k];
         }
-        block_lens[nb++] = o - o_start;
+        if (lanes == LANES)
+            while (pos[0] + 8 <= end[0] && pos[1] + 8 <= end[1] &&
+                   pos[2] + 8 <= end[2] && pos[3] + 8 <= end[3]) {
+                TOKEN_WORD(0);
+                TOKEN_WORD(1);
+                TOKEN_WORD(2);
+                TOKEN_WORD(3);
+            }
+        for (int k = 0; k < lanes; k++) {
+            while (pos[k] + 8 <= end[k]) TOKEN_WORD(k);
+            while (pos[k] < end[k]) {
+                uint32_t r = lookup_at(lk, data + pos[k], end[k] - pos[k]);
+                uint32_t c = r & 0xFF;
+                q[k][0] = (uint8_t)c;
+                q[k][1] = data[pos[k]];
+                q[k] += 1 + (c == ESCAPE);
+                pos[k] += r >> 8;
+            }
+            int64_t len = q[k] - scratch[k];
+            memcpy(out + o, scratch[k], (size_t)len);
+            o += len;
+            block_lens[b0 + k] = len;
+        }
     }
     int64_t h = uvarint_len(nb);
     for (int64_t b = 0; b < nb; b++) h += uvarint_len(block_lens[b]);
@@ -344,15 +470,8 @@ static void heap_sift_up(cand *h, int i)
 static inline uint64_t key_at(const uint8_t *data, int64_t n, int64_t pos,
                               int len)
 {
-    uint64_t w = 0;
-#if USE_WORDS
-    if (n - pos >= 8) {
-        memcpy(&w, data + pos, 8);
-        return w & low_bytes_mask(len);
-    }
-#endif
-    for (int i = 0; i < len; i++) w |= (uint64_t)data[pos + i] << (8 * i);
-    return w;
+    if (n - pos >= 8) return load_le64(data + pos) & low_bytes_mask(len);
+    return load_le_tail(data + pos, len);
 }
 
 typedef struct {
@@ -411,13 +530,13 @@ int fsst_train(const uint8_t *data, int64_t n, int32_t max_syms,
     c.slots = calloc((size_t)1 << bits, sizeof(cand_slot));
     c.used = malloc((size_t)(2 * n) * sizeof(int32_t));
     cand *heap = malloc((MAX_SYMS + 1) * sizeof(cand));
-    matcher *m = malloc(sizeof(matcher));
+    fsst_lookup *lk = malloc(sizeof(fsst_lookup));
     int rc = 2;
-    if (!c.slots || !c.used || !heap || !m) goto done;
+    if (!c.slots || !c.used || !heap || !lk) goto done;
     c.mask = ((uint64_t)1 << bits) - 1;
     c.shift = 64 - bits;
     c.gen = 0;
-    matcher_build(m, sym_bytes, sym_lens, 0);
+    fsst_lookup_build(sym_bytes, sym_lens, 0, lk);
     for (int32_t round = 0; round < iters; round++) {
         if (++c.gen == 0) { /* stamp wrapped: forget every slot once */
             memset(c.slots, 0, ((size_t)1 << bits) * sizeof(cand_slot));
@@ -426,12 +545,12 @@ int fsst_train(const uint8_t *data, int64_t n, int32_t max_syms,
         c.n_used = 0;
         int64_t prev_start = -1;
         int prev_len = 0;
+        /* one lane: the counting, not the lookup, bounds this loop, and
+         * its loads overlap the next position's lookup */
         for (int64_t pos = 0; pos < n;) {
             int64_t block_end = (pos / BLOCK + 1) * BLOCK;
             if (block_end > n) block_end = n;
-            int len;
-            if (matcher_match(m, data + pos, block_end - pos, &len) < 0)
-                len = 1;
+            int len = (int)(lookup_at(lk, data + pos, block_end - pos) >> 8);
             counter_add(&c, key_at(data, n, pos, len), len);
             /* pairs may span a block boundary: the tokens are still
              * adjacent in the sample */
@@ -464,13 +583,13 @@ int fsst_train(const uint8_t *data, int64_t n, int32_t max_syms,
             heap[0] = heap[i];
             heap_sift_down(heap, i, 0);
         }
-        matcher_build(m, sym_bytes, sym_lens, size);
+        fsst_lookup_build(sym_bytes, sym_lens, size, lk);
     }
     rc = 0;
 done:
     free(c.slots);
     free(c.used);
     free(heap);
-    free(m);
+    free(lk);
     return rc;
 }

@@ -432,8 +432,24 @@ def encode_array(
         len(validity),
         len(payload),
     )
-    body = header + type_bytes + validity + payload
-    return body + struct.pack("<I", zlib.crc32(body))
+    return _with_crc(header, type_bytes, validity, payload)
+
+
+def _with_crc(*parts) -> bytes:
+    """A chunk blob: its parts joined with one copy, then the crc32 of
+    them all as the trailer (every writer ends here)."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join((*parts, struct.pack("<I", crc)))
+
+
+def blob_crc32(blob) -> int:
+    """zlib.crc32 of a whole blob that ``_with_crc`` wrote, in O(1): its
+    trailer is crc32(body), so the CRC of the blob is the CRC of the 4
+    trailer bytes continued from it. A corrupt body is not seen here;
+    the reader checks the trailer."""
+    return zlib.crc32(blob[-4:], struct.unpack_from("<I", blob, len(blob) - 4)[0])
 
 
 def _compress(payload: bytes, compression: str) -> bytes:
@@ -476,8 +492,7 @@ def _encode_list(arr: pa.Array) -> bytes:
         MAGIC, R.LIST, R.P_LIST, 1 if n_null else 0, 0, n, n_null,
         len(type_bytes), len(validity), len(payload),
     )
-    body = header + type_bytes + validity + payload
-    return body + struct.pack("<I", zlib.crc32(body))
+    return _with_crc(header, type_bytes, validity, payload)
 
 
 def _encode_struct(arr: pa.Array) -> bytes:
@@ -502,8 +517,7 @@ def _encode_struct(arr: pa.Array) -> bytes:
         MAGIC, R.STRUCT, R.P_STRUCT, 1 if n_null else 0, 0, n, n_null,
         len(type_bytes), len(validity), len(payload),
     )
-    body = header + type_bytes + validity + payload
-    return body + struct.pack("<I", zlib.crc32(body))
+    return _with_crc(header, type_bytes, validity, payload)
 
 
 def _decode_struct(payload, ty, n, n_null, validity) -> pa.Array:
@@ -550,8 +564,7 @@ def _encode_map(arr: pa.Array) -> bytes:
         MAGIC, R.MAP, R.P_MAP, 1 if n_null else 0, 0, n, n_null,
         len(type_bytes), len(validity), len(payload),
     )
-    body = header + type_bytes + validity + payload
-    return body + struct.pack("<I", zlib.crc32(body))
+    return _with_crc(header, type_bytes, validity, payload)
 
 
 def _decode_map(payload, ty, n, n_null, validity) -> pa.Array:

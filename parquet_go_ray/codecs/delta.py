@@ -29,8 +29,11 @@ at 64 bytes like the reference's linear path (byte_array.go:11-13).
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
+from . import native
 from ._util import (
     pack_bits,
     packed_byte_len,
@@ -62,7 +65,46 @@ def _from_u64(values: np.ndarray, bits: int) -> np.ndarray:
 
 
 def encode_binary_packed(values: np.ndarray, bits: int) -> bytes:
-    """values: int32 (bits=32) or int64 (bits=64) ndarray."""
+    """values: int32 (bits=32) or int64 (bits=64) ndarray. Runs
+    ``dbp_encode`` in _delta_native.c when it loads; the numpy encoder
+    (``_encode_binary_packed_numpy``) is the reference and the fallback,
+    and both write the same bytes."""
+    lib = _native()
+    if lib is not None:
+        v = _native_input(values, bits)
+        if v is not None:
+            # dbp_encode_bound: the header, then per block of 128 deltas
+            # a min varint, 4 width bytes and 128 64-bit values
+            out = np.empty(24 + -(-(len(v) - 1) // BLOCK_SIZE) * 1038, dtype=np.uint8)
+            fn = lib.dbp_encode
+            fn.restype = ctypes.c_int64
+            k = fn(
+                v.ctypes.data_as(ctypes.c_void_p),
+                ctypes.c_int64(len(v)),
+                ctypes.c_int32(bits),
+                out.ctypes.data_as(ctypes.c_void_p),
+                ctypes.c_int64(len(out)),
+            )
+            if k < 0:
+                raise RuntimeError(f"native dbp_encode failed rc={k}")
+            return out[:k].tobytes()
+    return _encode_binary_packed_numpy(values, bits)
+
+
+def _native_input(values, bits: int) -> np.ndarray | None:
+    """values as the contiguous int32/int64 array dbp_encode reads, with
+    the numpy encoder's conversion (a 4-byte view for bits 32, a cast to
+    int64 for bits 64); None for an input only the numpy encoder takes."""
+    if not isinstance(values, np.ndarray) or values.dtype.kind not in "iu":
+        return None
+    if bits == 32 and values.dtype.itemsize == 4:
+        return np.ascontiguousarray(values).view(np.int32)
+    if bits == 64:
+        return np.ascontiguousarray(values.astype(np.int64, copy=False))
+    return None
+
+
+def _encode_binary_packed_numpy(values: np.ndarray, bits: int) -> bytes:
     n = len(values)
     header = (
         uvarint_encode(BLOCK_SIZE)
@@ -307,12 +349,11 @@ def encode_byte_array(data: bytes, offsets: np.ndarray) -> bytes:
     return pblock + sblock + suffix_bytes
 
 
-def _native_dba():
-    """Optional C hot loop for front-coding decode (the reconstruction
-    is sequential by nature; a per-value Python loop otherwise bounds
-    the codec's throughput on sorted url-like columns)."""
-    from . import native
-
+def _native():
+    """The optional C kernels in _delta_native.c: DELTA_BINARY_PACKED
+    encode, and front-coding decode (the reconstruction is sequential by
+    nature; a per-value Python loop otherwise bounds the codec's
+    throughput on sorted url-like columns)."""
     return native.load("_delta_native.c")
 
 
@@ -324,10 +365,8 @@ def decode_byte_array(buf: bytes) -> tuple[bytes, np.ndarray]:
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens, out=offsets[1:])
     suffixes = bytes(buf[pos:])
-    lib = _native_dba()
+    lib = _native()
     if lib is not None and n:
-        import ctypes
-
         out_np = np.empty(int(offsets[-1]), dtype=np.uint8)
         pref32 = np.ascontiguousarray(prefix, dtype=np.int32)
         slen32 = np.ascontiguousarray(suffix_lens, dtype=np.int32)

@@ -15,7 +15,18 @@ _fsst_native.c, loaded through ``native.load``) whenever a compiler is
 present:
 
 - encode is a greedy longest-match scan over 4 KiB blocks that writes the
-  whole code stream, block-length header included, in one pass;
+  whole code stream, block-length header included, in one pass. Its
+  lookup follows the paper: a 64K-entry table on the 2-byte prefix for
+  the 1- and 2-byte symbols and a 1024-slot hash on the 3-byte prefix
+  for the longer ones, each slot holding its two longest symbols inline
+  (the rest on a rarely walked overflow run). The symbol is picked with
+  conditional moves, and 4 blocks are tokenized in one interleaved loop
+  so that their chains of dependent loads overlap. The lookup is an
+  exact greedy longest match, so the C and numpy encoders write the same
+  bytes. It is built on a table's first native encode and kept in a
+  small LRU of the tables last used (``_LOOKUPS``), not on the table:
+  at 157 KiB it is 70 times the table, and the selection caches keep
+  one table per column and language run;
 - decode skips that header and writes each symbol with one unconditional
   8-byte store (the paper's design) straight into the buffer that becomes
   the Arrow value buffer. ``decode_byte_array`` sizes that buffer exactly
@@ -41,8 +52,8 @@ Training is a simplified version of the paper's iterative algorithm: at
 each round, tokenize a bounded sample with the current table, count token
 and adjacent-token-pair substrings, keep the 255 candidates with the
 highest apparent gain (frequency × length). It runs natively
-(``fsst_train`` in _fsst_native.c: the same greedy matcher as the
-encoder, a hash count and a bounded heap) whenever the C kernels load;
+(``fsst_train`` in _fsst_native.c: the encoder's lookup, a hash count
+and a bounded heap) whenever the C kernels load;
 the numpy trainer (``_train_numpy``) is kept as the reference and as the
 fallback without a compiler, and both return the same symbol list.
 """
@@ -50,6 +61,7 @@ fallback without a compiler, and both return the same symbol list.
 from __future__ import annotations
 
 import ctypes
+import weakref
 
 import numpy as np
 
@@ -64,6 +76,15 @@ TRAIN_SAMPLE = 1 << 15  # 32 KiB
 TRAIN_ITERS = 4
 
 _U64 = np.uint64
+
+# the C encoder's lookups of the tables last used, least recent first
+# (a table is reused across chunks through the selection cache, and a
+# chunk's FSST columns each use one table); weak keys, so a table that
+# is dropped takes its lookup with it
+MAX_LOOKUPS = 16  # 2.5 MiB
+_LOOKUPS: weakref.WeakKeyDictionary[SymbolTable, np.ndarray] = (
+    weakref.WeakKeyDictionary()
+)
 
 # ---------------------------------------------------------------- native
 # Optional C kernels (tokenizer, decoder, trainer) in _fsst_native.c,
@@ -151,6 +172,7 @@ class SymbolTable:
         "_lpm_depth",
         "_packed",
         "_lens_u8",
+        "__weakref__",
     )
 
     def __init__(self, symbols: list[bytes]):
@@ -380,6 +402,22 @@ class SymbolTable:
         header.extend(uvarint_encode(int(x)) for x in block_lens)
         return b"".join(header) + out.tobytes()
 
+    def _native_lookup(self, lib) -> np.ndarray:
+        """The C encoder's symbol lookup for this table (fsst_lookup in
+        _fsst_native.c), from the LRU or built and put in it."""
+        lookup = _LOOKUPS.pop(self, None)
+        if lookup is None:
+            lookup = np.empty(lib.fsst_lookup_size(), dtype=np.uint8)
+            rc = lib.fsst_lookup_build(
+                _ptr(self._packed), _ptr(self._lens_u8), ctypes.c_int32(self._n), _ptr(lookup)
+            )
+            if rc != 0:
+                raise RuntimeError(f"native fsst_lookup_build failed rc={rc}")
+            while len(_LOOKUPS) >= MAX_LOOKUPS:
+                del _LOOKUPS[next(iter(_LOOKUPS))]
+        _LOOKUPS[self] = lookup
+        return lookup
+
     def _encode_native(self, lib, data) -> memoryview:
         buf = np.frombuffer(data, dtype=np.uint8)
         n = len(buf)
@@ -392,9 +430,7 @@ class SymbolTable:
         rc = lib.fsst_encode(
             _ptr(buf) if n else None,
             ctypes.c_int64(n),
-            _ptr(self._packed),
-            _ptr(self._lens_u8),
-            ctypes.c_int32(self._n),
+            _ptr(self._native_lookup(lib)),
             _ptr(out),
             ctypes.c_int64(len(out)),
             _ptr(block_lens),
@@ -539,7 +575,10 @@ def _train_native(lib, sample: bytes, max_symbols: int, iters: int) -> SymbolTab
         raise ValueError(f"fsst_train: bad argument (max_symbols={max_symbols})")
     if rc != 0:
         raise MemoryError(f"native fsst_train failed rc={rc}")
-    return SymbolTable([packed[i, : lens[i]].tobytes() for i in range(n_syms.value)])
+    n = n_syms.value
+    table = SymbolTable.__new__(SymbolTable)
+    table._build(lens[:n], packed[:n][np.arange(MAX_SYMBOL_LEN) < lens[:n, None]])
+    return table
 
 
 def _train_numpy(sample: bytes, max_symbols: int, iters: int) -> SymbolTable:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import os
 import uuid
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -396,7 +395,7 @@ def chunk_record(
         "n_null": arr.null_count,
         "raw_nbytes": arr.nbytes,
         "enc_nbytes": len(blob),
-        "crc32": zlib.crc32(blob),
+        "crc32": chunk_mod.blob_crc32(blob),
         "vmin": vmin,
         "vmax": vmax,
         "vsum": None if dict_page else _stat_sum(arr),

@@ -371,3 +371,165 @@ def test_delta_rejects_bad_block_header(block_size, miniblocks):
     bad = uvarint_encode(block_size) + uvarint_encode(miniblocks) + good[3:]
     with pytest.raises(ValueError, match="bad header"):
         delta.decode_binary_packed(bad, 32)
+
+
+# ------------------------------------------- DELTA_BINARY_PACKED in C
+
+
+def _dbp_native():
+    from parquet_go_ray.codecs import delta
+
+    if delta._native() is None:
+        pytest.skip("no system compiler available")
+    return delta
+
+
+_DBP_SIZES = (0, 1, 2, 31, 32, 33, 128, 129, 4097)
+
+
+@pytest.mark.parametrize("bits", (32, 64))
+@pytest.mark.parametrize("n", _DBP_SIZES)
+def test_dbp_native_matches_numpy(bits, n):
+    """dbp_encode writes the numpy encoder's bytes: full-range random
+    values (deltas that wrap), a sorted run, a constant run and small
+    deltas around zero."""
+    delta = _dbp_native()
+    dtype = np.int32 if bits == 32 else np.int64
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(n * bits)
+    for v in (
+        rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True),
+        np.cumsum(rng.integers(0, 1000, n)).astype(dtype),
+        np.full(n, -7, dtype=dtype),
+        rng.integers(-3, 4, n).astype(dtype),
+    ):
+        got = delta.encode_binary_packed(v, bits)
+        assert got == delta._encode_binary_packed_numpy(v, bits)
+        assert np.array_equal(delta.decode_binary_packed(got, bits)[0], v)
+
+
+@pytest.mark.parametrize("bits", (32, 64))
+def test_dbp_native_wraparound_vectors(bits):
+    """Deltas between the width's min and max wrap modulo 2**bits."""
+    delta = _dbp_native()
+    dtype = np.int32 if bits == 32 else np.int64
+    lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+    for vec in (
+        [lo, hi] * 16 * 5,
+        [hi, lo, 0, hi, -1, lo + 1],
+        [lo] + [hi] * 200,
+        list(range(hi - 300, hi)) + [lo],
+    ):
+        v = np.array(vec, dtype=dtype)
+        got = delta.encode_binary_packed(v, bits)
+        assert got == delta._encode_binary_packed_numpy(v, bits)
+        assert np.array_equal(delta.decode_binary_packed(got, bits)[0], v)
+
+
+@pytest.mark.parametrize(
+    "dtype,bits",
+    [
+        (np.int32, 32),
+        (np.uint32, 32),
+        (np.int64, 64),
+        (np.uint64, 64),
+        (np.int32, 64),
+        (np.uint32, 64),
+        (np.int16, 64),
+        (np.uint8, 64),
+    ],
+)
+def test_dbp_native_input_dtypes(dtype, bits):
+    """Every int dtype the callers hand over (int32/int64 from
+    chunk._to_physical_values, alp and parquet_wire, and their unsigned
+    views), contiguous or strided, gives the numpy encoder's bytes."""
+    delta = _dbp_native()
+    info = np.iinfo(dtype)
+    v = np.random.default_rng(5).integers(info.min, info.max, 3001, dtype=dtype, endpoint=True)
+    for x in (v, v[::3], v[::-2]):
+        assert not x.flags.c_contiguous or x is v
+        assert delta.encode_binary_packed(x, bits) == delta._encode_binary_packed_numpy(x, bits)
+
+
+def test_dbp_callers_write_numpy_bytes(monkeypatch):
+    """The codecs that carry a DELTA_BINARY_PACKED block (FSST lengths,
+    DLBA, DBA, ints, ALP) write the same chunk bytes with the numpy
+    encoder forced."""
+    from parquet_go_ray.codecs import delta
+
+    _dbp_native()
+    strs = pa.array([f"https://host{i % 13}.example/p/{i * 7919 % 1000}" for i in range(1500)])
+    cases = [
+        (strs, R.FSST),
+        (strs, R.DELTA_LENGTH_BYTE_ARRAY),
+        (strs, R.DELTA_BYTE_ARRAY),
+        (pa.array(np.cumsum(np.arange(3000) % 17), pa.int64()), R.DELTA_BINARY_PACKED),
+        (pa.array(np.arange(3000, dtype=np.int32) * -3), R.DELTA_BINARY_PACKED),
+        (pa.array(np.round(np.linspace(0, 99, 2000), 2)), R.ALP_FLOAT),
+    ]
+    native_blobs = [encode_array(arr, codec) for arr, codec in cases]
+    monkeypatch.setattr(delta, "_native", lambda: None)
+    for (arr, codec), blob in zip(cases, native_blobs):
+        assert encode_array(arr, codec) == blob, R.CODEC_NAMES[codec]
+        assert decode_array(blob).equals(arr)
+
+
+# ----------------------------------------------- chunk-record CRC
+
+
+_CRC_ARRAYS = {
+    R.BOOLEAN: pa.array([True, None, False, True] * 40),
+    R.INT32: pa.array(list(range(-50, 250)) + [None], pa.int32()),
+    R.INT64: pa.array([3, 3, 9, None, 2**40] * 60, pa.int64()),
+    R.FLOAT: pa.array([0.5, 1.25, None] * 40, pa.float32()),
+    R.DOUBLE: pa.array([0.5, 1.25, None, 3.75] * 40, pa.float64()),
+    R.BYTE_ARRAY: pa.array([f"doc {i % 17}" for i in range(300)] + [None]),
+    R.FIXED_LEN_BYTE_ARRAY: pa.array([b"abcd", b"efgh", None] * 20, pa.binary(4)),
+}
+
+
+def _crc_blobs():
+    for ptype, arr in _CRC_ARRAYS.items():
+        for codec in R.SUPPORTED[ptype]:
+            yield f"{R.PTYPE_NAMES[ptype]}:{R.CODEC_NAMES[codec]}", encode_array(arr, codec)
+    yield "zstd", encode_array(_CRC_ARRAYS[R.INT64], compression="zstd")
+    yield "list", encode_array(pa.array([[1, 2], None, [], [3]] * 20))
+    yield "struct", encode_array(pa.array([{"a": 1, "b": "x"}, None, {"a": 2, "b": None}] * 9))
+    yield "map", encode_array(pa.array([[("k", 1)], None, [("j", 2), ("k", 3)]] * 9, pa.map_(pa.string(), pa.int64())))
+    yield "other", encode_array(pa.array([None, None], pa.null()))
+
+
+def test_blob_crc32_equals_full_crc():
+    """chunk.blob_crc32 (the trailer CRC continued over the trailer) is
+    zlib.crc32 of the whole blob for every codec and structural blob."""
+    import zlib
+
+    from parquet_go_ray.codecs import chunk
+
+    names = []
+    for name, blob in _crc_blobs():
+        assert chunk.blob_crc32(blob) == zlib.crc32(blob), name
+        names.append(name)
+    assert len(names) == sum(map(len, (R.SUPPORTED[p] for p in _CRC_ARRAYS))) + 5
+
+
+def test_chunk_record_crcs_are_whole_blob_crcs():
+    """encode_table's records and a file-level dict page carry
+    zlib.crc32 of their payload."""
+    import zlib
+
+    from parquet_go_ray.codecs.dictionary import DictState
+    from parquet_go_ray.stages.encode import _dict_page_rows, encode_table
+
+    t = pa.table(
+        {
+            "url": [f"https://h{i % 5}/{i}" for i in range(500)],
+            "n": pa.array(range(500), pa.int64()),
+            "tags": pa.array([[i % 3] for i in range(500)]),
+        }
+    )
+    state = DictState()
+    state.insert(pa.array(["en", "de", "fr"]))
+    for records in (encode_table(t), _dict_page_rows({"lang": state}, "s0", None)):
+        for payload, crc in zip(records.column("payload").to_pylist(), records.column("crc32").to_pylist()):
+            assert crc == zlib.crc32(payload)

@@ -1,6 +1,8 @@
 """FSST symbol-table codec tests (paper-based; not in the reference)."""
 
 import contextlib
+import functools
+import gc
 import os
 import shutil
 import subprocess
@@ -95,8 +97,15 @@ def test_native_numpy_cross_compat():
 
 # every C kernel and the symbols its Python callers look up
 _NATIVE_KERNELS = {
-    "_delta_native.c": ("dba_decode",),
-    "_fsst_native.c": ("fsst_encode", "fsst_decode", "fsst_train"),
+    "_delta_native.c": ("dba_decode", "dbp_encode"),
+    "_fsst_native.c": (
+        "fsst_lookup_size",
+        "fsst_lookup_build",
+        "fsst_hash_slot",
+        "fsst_encode",
+        "fsst_decode",
+        "fsst_train",
+    ),
     "_hash_native.c": (
         "fnv1a_segments",
         "xxhash64_segments",
@@ -182,6 +191,145 @@ def test_native_trainer_gives_identical_chunk_bytes(monkeypatch):
     assert native_chunks.column("codec").to_pylist() == numpy_chunks.column("codec").to_pylist()
     assert "fsst" in native_chunks.column("codec").to_pylist()
     assert native_chunks.column("payload").equals(numpy_chunks.column("payload"))
+
+
+# --------------------------------------------------- encoder lookup parity
+
+
+def _slot_mates(k: int) -> list[bytes]:
+    """k distinct 3-byte prefixes that the C lookup hashes to one slot
+    (any k prefixes without a compiler, where the test skips)."""
+    lib = fsst._native()
+    if lib is None:
+        return [b"abc"[:2] + bytes([120 + i]) for i in range(k)]
+    slots: dict[int, list[bytes]] = {}
+    for a in range(97, 123):
+        for b in range(97, 123):
+            for c in b"xyzq":
+                prefix = bytes([a, b, c])
+                mates = slots.setdefault(lib.fsst_hash_slot(prefix), [])
+                mates.append(prefix)
+                if len(mates) == k:
+                    return mates
+    raise AssertionError(f"no {k} prefixes share a slot")
+
+
+def _straddling_blocks() -> bytes:
+    """Blocks whose 8-byte symbol starts from 4 bytes before to 8 bytes
+    after block_end - 8: the tail path must cut the ones that cross the
+    block end. 13 blocks, not a multiple of the encoder's 4 lanes."""
+    return b"".join(
+        (b"-" * (fsst.BLOCK - 8 + d) + b"abcdefgh" * 2)[: fsst.BLOCK] for d in range(-4, 9)
+    )
+
+
+def _distinct_substrings(data: bytes, k: int) -> list[bytes]:
+    out: dict[bytes, None] = {}
+    pos = 0
+    while len(out) < k:
+        length = 1 + pos % 8
+        out.setdefault(data[pos : pos + length], None)
+        pos += 7
+    return list(out)
+
+
+_ZERO_FF_TABLE = [
+    b"\x00",
+    b"\x00\x00\x00",
+    b"a\x00",
+    b"\xff\xff",
+    b"\xff" * 8,
+    b"\x00\xff\x00",
+]
+
+
+@functools.cache
+def _lookup_cases() -> dict[str, tuple[list[bytes] | None, bytes]]:
+    """(symbol table or None to train one, input) per case."""
+    text = _words(6, 3000)
+    chain = [b"https://", b"https:/", b"https", b"http:", b"http", b"htt"]
+    mates = _slot_mates(5)
+    slot_syms = [p + b"12345"[:i] for i, p in enumerate(mates)]  # 3..7 bytes
+    rng = np.random.default_rng(9)
+    zero_ff = bytes(rng.choice([0, 0xFF, ord("a")], 3 * fsst.BLOCK + 5).astype(np.uint8))
+    cases = {
+        # six symbols share "htt": the two longest sit inline in the hash
+        # slot, the other four on its overflow chain
+        "shared_prefix_chain": (
+            chain + [b"ht", b" "],
+            b" ".join(chain + [b"htx", b"httpx", b"httpsx", b"ht", b"h"]) * 60,
+        ),
+        "one_hash_slot": (
+            slot_syms,
+            b"|".join(s[:k] for s in slot_syms for k in range(1, len(s) + 1)) * 40,
+        ),
+        "straddle_block_end": ([b"abcdefgh", b"abcd", b"ab", b"a", b"-" * 8, b"-"], _straddling_blocks()),
+        # equal symbols: the highest code wins on both paths
+        "duplicate_symbols": (
+            [b"abcd", b"abc", b"abcd", b"ab", b"ab", b"a", b"abc", b"a"],
+            b"abcde abcd abc ab a " * 30,
+        ),
+        "no_symbols": ([], text),
+        "one_symbol": ([b"the "], text),
+        "255_symbols": (_distinct_substrings(text, 255), text),
+        "zero_and_ff": (_ZERO_FF_TABLE, zero_ff),
+        # a block's last byte is "a" and its last two are 0x00 0x00:
+        # zero padding must not complete "a\x00" or "\x00\x00\x00"
+        "zero_and_ff_tail_a": (_ZERO_FF_TABLE, zero_ff[: fsst.BLOCK - 1] + b"a" + zero_ff + b"a"),
+        "zero_and_ff_tail_00": (_ZERO_FF_TABLE, zero_ff + b"x\x00\x00"),
+        **{
+            f"tiny_{k}": ([b"ab", b"abc", b"abcdefgh", b"a", b"\x00\x00\x00", b"a\x00"], b"abcdefgha\x00"[:k])
+            for k in range(10)
+        },
+        **{
+            f"blocks_{k}": (None, (text * 3)[: k * fsst.BLOCK + 123])
+            for k in (1, 2, 3, 5, 6, 7)
+        },
+    }
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_lookup_cases()))
+def test_native_encoder_matches_numpy(case):
+    """The C encoder's lookup (short-code table, 3-byte-prefix hash with
+    an overflow chain, 4 interleaved blocks, exact tail) picks the same
+    symbols as the numpy reference, so the code streams are identical;
+    and the C trainer returns the numpy trainer's table on each input."""
+    _require_native()
+    symbols, data = _lookup_cases()[case]
+    table = fsst.SymbolTable(symbols) if symbols is not None else fsst.train(data)
+    got = bytes(table.encode(data))
+    lookup = fsst._LOOKUPS[table]  # built once, reused from the LRU
+    assert bytes(table.encode(data)) == got and fsst._LOOKUPS[table] is lookup
+    with _numpy_only():
+        assert bytes(table.encode(data)) == got
+    assert table.decode(got, len(data)).tobytes() == data
+    trained = fsst.train(data).symbols
+    with _numpy_only():
+        assert fsst.train(data).symbols == trained
+
+
+def test_native_lookups_are_bounded():
+    """Lookups live in an LRU of MAX_LOOKUPS tables, not on the tables
+    the selection caches keep: the least recently used one is dropped,
+    a table whose lookup was dropped rebuilds it with the same bytes,
+    and the LRU does not keep a table alive."""
+    _require_native()
+    data = b"lookup lru: the quick brown fox jumps over the lazy dog " * 40
+    tables = [
+        fsst.SymbolTable([b"the ", b"fox", bytes([65 + i]) * 3])
+        for i in range(fsst.MAX_LOOKUPS + 4)
+    ]
+    streams = [bytes(t.encode(data)) for t in tables]
+    assert len(fsst._LOOKUPS) == fsst.MAX_LOOKUPS
+    assert tables[0] not in fsst._LOOKUPS and tables[-1] in fsst._LOOKUPS
+    tables[4].encode(data)  # a hit moves the table to the recent end
+    assert list(fsst._LOOKUPS)[-1] is tables[4]
+    assert bytes(tables[0].encode(data)) == streams[0]
+    assert tables[5] not in fsst._LOOKUPS and len(fsst._LOOKUPS) == fsst.MAX_LOOKUPS
+    del tables  # every entry is one of these: dropped, they take it along
+    gc.collect()
+    assert len(fsst._LOOKUPS) == 0
 
 
 def test_table_serialization():
