@@ -1,6 +1,6 @@
 /* Delta-encoding hot loops: front-coding (DELTA_BYTE_ARRAY) decode and
- * DELTA_BINARY_PACKED encode. delta.py's numpy code is the reference and
- * the fallback for both.
+ * DELTA_BINARY_PACKED encode and decode. delta.py's numpy code is the
+ * reference and the fallback for all three.
  *
  * Front-coding reconstruction is inherently sequential (each value
  * copies a prefix of its predecessor), so the per-value loop lives here
@@ -68,6 +68,19 @@ static uint64_t zigzag(uint64_t v, int bits)
 static void put_le(uint8_t *p, uint64_t v, int nbytes)
 {
     for (int i = 0; i < nbytes; i++) p[i] = (uint8_t)(v >> (8 * i));
+}
+
+static inline uint64_t load_le64(const uint8_t *p)
+{
+#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    uint64_t w;
+    memcpy(&w, p, 8);
+    return w;
+#else
+    uint64_t w = 0;
+    for (int i = 0; i < 8; i++) w |= (uint64_t)p[i] << (8 * i);
+    return w;
+#endif
 }
 
 /* Largest output for n values: the header, then per block a min varint,
@@ -140,4 +153,134 @@ int64_t dbp_encode(const void *values, int64_t n, int32_t bits,
     }
 #undef DBP_VALUE
     return o;
+}
+
+/* DELTA_BINARY_PACKED decode, after delta.py has read the stream's header
+ * and checked it (block_size a multiple of 128, miniblocks dividing it into
+ * multiples of 32 values, at least 1 + miniblocks bytes per block left).
+ * Any such layout is read, not only the 128/4 this file writes. Each needed
+ * miniblock is unpacked LSB-first through a 64-bit accumulator and summed
+ * into the running value as it streams; the width bytes of unneeded
+ * trailing miniblocks are skipped unread, whatever they hold. The walk and
+ * its checks go in the numpy decoder's order, so both fail alike. */
+enum {
+    DBP_TRUNCATED = -1, /* the stream ends inside a varint, width or body */
+    DBP_WIDE = -2,      /* a needed miniblock's width is above 64 */
+    DBP_OVERFLOW = -3,  /* a min-delta varint holds more than 64 bits */
+    DBP_BAD_ARG = -4,
+};
+
+/* Zigzag varint at buf[*pos..len) into *v; 0 or a DBP_* code. A varint
+ * that overflows 64 bits is read to its end first, so a truncation behind
+ * it is reported as the truncation. */
+static int get_svarint(const uint8_t *buf, int64_t len, int64_t *pos, uint64_t *v)
+{
+    uint64_t u = 0;
+    int shift = 0, over = 0;
+    int64_t p = *pos;
+    for (;;) {
+        if (p >= len) return DBP_TRUNCATED;
+        uint64_t b = buf[p++];
+        if (shift < 63)
+            u |= (b & 0x7F) << shift;
+        else if (shift == 63) {
+            u |= (b & 1) << 63;
+            over |= (b & 0x7E) != 0;
+        } else
+            over |= (b & 0x7F) != 0;
+        if (!(b & 0x80)) break;
+        if (shift < 64) shift += 7;
+    }
+    if (over) return DBP_OVERFLOW;
+    *pos = p;
+    *v = (u >> 1) ^ (0 - (u & 1));
+    return 0;
+}
+
+/* The body of dbp_decode, inlined once per value width so that the
+ * store into out is not a branch per value. */
+static inline __attribute__((always_inline)) int64_t
+dbp_decode_blocks(const uint8_t *buf, int64_t len, int64_t pos,
+                  int64_t mb_size, int64_t miniblocks, int64_t n,
+                  uint64_t first, const int bits, void *out)
+{
+    int32_t *o32 = (int32_t *)out;
+    int64_t *o64 = (int64_t *)out;
+    uint64_t cur = first;
+#define DBP_STORE(i) \
+    (bits == 32 ? (void)(o32[i] = (int32_t)(uint32_t)cur) : (void)(o64[i] = (int64_t)cur))
+    DBP_STORE(0);
+    int64_t i = 1;
+    while (i < n) {
+        uint64_t mn;
+        int rc = get_svarint(buf, len, &pos, &mn);
+        if (rc) return rc;
+        if (miniblocks > len - pos) return DBP_TRUNCATED;
+        const uint8_t *widths = buf + pos;
+        pos += miniblocks;
+        for (int64_t m = 0; m < miniblocks && i < n; m++) {
+            int w = widths[m];
+            if (w > 64) return DBP_WIDE;
+            /* the body is mb_size * w / 8 bytes, a whole number because
+             * mb_size is a multiple of 32 */
+            if (w && mb_size > (len - pos) * 8 / w) return DBP_TRUNCATED;
+            int64_t cnt = n - i < mb_size ? n - i : mb_size;
+            if (!w) {
+                for (int64_t j = 0; j < cnt; j++, i++) {
+                    cur += mn;
+                    DBP_STORE(i);
+                }
+                continue;
+            }
+            const uint8_t *p = buf + pos, *end = p + mb_size * w / 8;
+            const uint64_t wmask = w == 64 ? ~(uint64_t)0 : ((uint64_t)1 << w) - 1;
+            uint64_t acc = 0;
+            int have = 0; /* bits left in acc, at most 63 */
+            for (int64_t j = 0; j < cnt; j++, i++) {
+                uint64_t v;
+                if (have >= w) {
+                    v = acc & wmask;
+                    acc >>= w;
+                    have -= w;
+                } else {
+                    /* the next word: 8 bytes, or what is left of the
+                     * body, which always holds the bits still owed */
+                    uint64_t word = 0;
+                    int nb = end - p >= 8 ? 8 : (int)(end - p);
+                    if (nb == 8)
+                        word = load_le64(p);
+                    else
+                        for (int k = 0; k < nb; k++) word |= (uint64_t)p[k] << (8 * k);
+                    p += nb;
+                    v = (acc | word << have) & wmask;
+                    int used = w - have;
+                    acc = used == 64 ? 0 : word >> used;
+                    have = nb * 8 - used;
+                }
+                cur += v + mn;
+                DBP_STORE(i);
+            }
+            pos += mb_size * w / 8;
+        }
+    }
+#undef DBP_STORE
+    return pos;
+}
+
+/* Decodes the n values (n >= 2) whose blocks start at buf[pos] into out
+ * (int32 when bits is 32, int64 when 64), the first being `first`.
+ * Returns the position after the last block, or a DBP_* code. Reads no
+ * byte at or past buf[len]. */
+int64_t dbp_decode(const uint8_t *buf, int64_t len, int64_t pos,
+                   int64_t block_size, int64_t miniblocks, int64_t n,
+                   uint64_t first, int32_t bits, void *out)
+{
+    if (n < 2 || (bits != 32 && bits != 64) || miniblocks <= 0
+        || block_size <= 0 || block_size % miniblocks
+        || (block_size / miniblocks) % 32 || pos < 0 || pos > len)
+        return DBP_BAD_ARG;
+    int64_t mb_size = block_size / miniblocks;
+    if (bits == 32)
+        return dbp_decode_blocks(buf, len, pos, mb_size, miniblocks, n, first, 32, out);
+    return dbp_decode_blocks(buf, len, pos, mb_size, miniblocks, n, first, 64, out);
 }

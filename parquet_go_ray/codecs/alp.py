@@ -113,7 +113,7 @@ def decode(payload: bytes, dtype) -> np.ndarray:
     off += 4 * n_exc
     exc_val = np.frombuffer(payload, dtype=dtype, count=n_exc, offset=off)
     off += width * n_exc
-    d, _ = delta.decode_binary_packed(payload[off:], 64)
+    d, _ = delta.decode_binary_packed(payload, 64, off)
     out = (d[:n].astype(dtype) / dtype.type(_POW10[e])).astype(dtype)
     if n_exc:
         out[exc_pos.astype(np.int64)] = exc_val

@@ -16,7 +16,7 @@ Layout (little-endian):
     arrow_type   (serialized single-field schema)
     validity     (np.packbits little-endian of the valid mask; only if n_null>0)
     payload      (codec bytes)
-    crc32   u32  (of everything above)
+    crc32   u32  (of everything above; the chunk record carries it too)
 
 Null handling follows Parquet semantics (only non-null values are
 encoded; the validity bitmap restores positions — the flat-schema
@@ -445,11 +445,35 @@ def _with_crc(*parts) -> bytes:
 
 
 def blob_crc32(blob) -> int:
-    """zlib.crc32 of a whole blob that ``_with_crc`` wrote, in O(1): its
-    trailer is crc32(body), so the CRC of the blob is the CRC of the 4
-    trailer bytes continued from it. A corrupt body is not seen here;
-    the reader checks the trailer."""
-    return zlib.crc32(blob[-4:], struct.unpack_from("<I", blob, len(blob) - 4)[0])
+    """The CRC32 a chunk record carries for `blob`: its trailer, the
+    crc32 of everything before it. O(1): decode checks the record
+    against the trailer here, and ``_parse_chunk`` checks the trailer
+    against the body in the one full pass."""
+    if len(blob) < 4:
+        raise ChunkError(f"buffer too short for a chunk: {len(blob)} bytes")
+    return struct.unpack_from("<I", blob, len(blob) - 4)[0]
+
+
+# Records written before they carried the trailer hold zlib.crc32 of the
+# whole blob. For a blob that ends in the CRC of its body that is CRC-32's
+# residue, one constant for every blob, so such a record names no blob.
+_WHOLE_BLOB_CRC = 0x2144DF1C
+
+
+def record_crc_matches(blob, crc: int) -> bool:
+    """Whether a chunk record's `crc` is the one written for `blob`, in
+    O(1). A record from before records carried the trailer matches any
+    blob; its blob's body is still checked when the blob is parsed."""
+    return len(blob) >= 4 and crc in (blob_crc32(blob), _WHOLE_BLOB_CRC)
+
+
+def blob_intact(blob, crc: int) -> bool:
+    """fsck's check of a stored chunk without decoding it: its record's
+    `crc` matches, and its trailer is the crc32 of its body (one full
+    pass)."""
+    return record_crc_matches(blob, crc) and (
+        zlib.crc32(memoryview(blob)[:-4]) == blob_crc32(blob)
+    )
 
 
 def _compress(payload: bytes, compression: str) -> bytes:
@@ -611,8 +635,12 @@ def _parse_chunk(buf: bytes):
             )
         raise ChunkError("bad magic")
     pos = _HDR.size
-    (crc_stored,) = struct.unpack_from("<I", buf, pos + type_len + validity_len + payload_len)
-    if zlib.crc32(buf[: pos + type_len + validity_len + payload_len]) != crc_stored:
+    body_len = pos + type_len + validity_len + payload_len
+    if body_len + 4 != len(buf):
+        raise ChunkError(
+            f"chunk is {len(buf)} bytes, its header says {body_len + 4}"
+        )
+    if zlib.crc32(memoryview(buf)[:body_len]) != blob_crc32(buf):
         raise ChunkError("chunk checksum mismatch")
     ty = pa.ipc.read_schema(pa.py_buffer(buf[pos : pos + type_len])).field(0).type
     pos += type_len

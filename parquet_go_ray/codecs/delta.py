@@ -17,6 +17,15 @@ wraparound), so sequences touching INT64 min/max round-trip exactly —
 the 64-bit-width-forcing vector from encoding_test.go:141-151 is in the
 test suite.
 
+The writer always uses 128/4; the reader takes any layout the spec
+allows (a block size that is a multiple of 128, miniblocks of a multiple
+of 32 values, any width byte on unneeded trailing miniblocks), as the
+Parquet wire reader needs for other writers' pages. Encode and decode
+run ``dbp_encode``/``dbp_decode`` in _delta_native.c when it loads; the
+numpy code here is the reference and the fallback, writes the same bytes
+and returns the same values, and raises alike on a bad stream: IndexError
+when it is truncated, ValueError when it is malformed.
+
 DELTA_LENGTH_BYTE_ARRAY: value lengths as a DELTA_BINARY_PACKED int32
 block, then the concatenated value bytes (Arrow string/binary layout is
 exactly (offsets, data), so this is nearly zero-copy).
@@ -35,13 +44,11 @@ import numpy as np
 
 from . import native
 from ._util import (
-    pack_bits,
     packed_byte_len,
-    svarint_decode,
     svarint_encode,
-    unpack_bits,
     uvarint_decode,
     uvarint_encode,
+    zigzag_decode,
 )
 
 BLOCK_SIZE = 128
@@ -181,59 +188,135 @@ def _encode_binary_packed_numpy(values: np.ndarray, bits: int) -> bytes:
     return b"".join(out)
 
 
-def decode_binary_packed(buf: bytes, bits: int, pos: int = 0) -> tuple[np.ndarray, int]:
-    """Return (values ndarray int32/int64, end position)."""
+def _read_header(buf, pos: int) -> tuple[int, int, int, int, int]:
+    """(block size, miniblocks, value count, first value, position after
+    it) of the DELTA_BINARY_PACKED stream at buf[pos]. Raises ValueError
+    on a header that breaks the spec's rules, IndexError on one that is
+    truncated or whose count the rest of the stream cannot hold."""
     block_size, pos = uvarint_decode(buf, pos)
     miniblocks, pos = uvarint_decode(buf, pos)
     n, pos = uvarint_decode(buf, pos)
-    first, pos = svarint_decode(buf, pos)
-    # the spec's header rules; they also keep a corrupt header from
-    # dividing by zero below
+    first, pos = _svarint64(buf, pos)
+    # the spec's rules, with Arrow's 32-bit limit on the three counts;
+    # they also keep a corrupt header from dividing by zero below
     if (
         block_size <= 0
         or block_size % 128
         or miniblocks <= 0
         or block_size % miniblocks
         or (block_size // miniblocks) % 32
+        or max(block_size, miniblocks, n) >> 32
     ):
         raise ValueError(
             f"DELTA_BINARY_PACKED: bad header ({block_size} values per "
-            f"block, {miniblocks} miniblocks)"
+            f"block, {miniblocks} miniblocks, {n} values)"
         )
-    dtype = np.int32 if bits == 32 else np.int64
-    if n == 0:
-        return np.empty(0, dtype=dtype), pos
-    if n == 1:
-        return np.array([first], dtype=dtype), pos
+    # every block takes at least its min varint and its width bytes:
+    # checked before the count sizes an allocation
+    if n > 1 and -(-(n - 1) // block_size) * (1 + miniblocks) > len(buf) - pos:
+        raise _error(-1)
+    return block_size, miniblocks, n, first, pos
+
+
+def _svarint64(buf, pos: int) -> tuple[int, int]:
+    """A zigzag varint that fits in 64 bits, as an unsigned 64-bit int."""
+    u, pos = uvarint_decode(buf, pos)
+    if u >> 64:
+        raise _error(-3)
+    return zigzag_decode(u) & 0xFFFFFFFFFFFFFFFF, pos
+
+
+# dbp_decode's error codes (the DBP_* enum in _delta_native.c); the numpy
+# decoder raises the same errors
+_DECODE_ERRORS = {
+    -1: (IndexError, "stream is truncated"),
+    -2: (ValueError, "miniblock bit width above 64"),
+    -3: (ValueError, "varint overflows 64 bits"),
+}
+
+
+def _error(code: int) -> Exception:
+    cls, msg = _DECODE_ERRORS[code]
+    return cls(f"DELTA_BINARY_PACKED: {msg}")
+
+
+def _first_values(first: int, n: int, bits: int) -> np.ndarray:
+    """The decoded values of a stream of n < 2 values."""
+    return _from_u64(np.array([first] * n, dtype=np.uint64), bits)
+
+
+def decode_binary_packed(buf, bits: int, pos: int = 0) -> tuple[np.ndarray, int]:
+    """Return (values ndarray int32/int64, end position) of the stream at
+    buf[pos] (any buffer). Runs ``dbp_decode`` in _delta_native.c when it
+    loads; the numpy decoder (``_decode_binary_packed_numpy``) is the
+    reference and the fallback. Both return the same values and raise
+    alike: IndexError on a truncated stream, ValueError on a malformed
+    one."""
+    lib = _native()
+    if lib is None:
+        return _decode_binary_packed_numpy(buf, bits, pos)
+    block_size, miniblocks, n, first, pos = _read_header(buf, pos)
+    if n < 2:
+        return _first_values(first, n, bits), pos
+    out = np.empty(n, dtype=np.int32 if bits == 32 else np.int64)
+    src = np.frombuffer(buf, dtype=np.uint8)
+    fn = lib.dbp_decode
+    fn.restype = ctypes.c_int64
+    end = fn(
+        src.ctypes.data_as(ctypes.c_void_p),
+        ctypes.c_int64(len(src)),
+        ctypes.c_int64(pos),
+        ctypes.c_int64(block_size),
+        ctypes.c_int64(miniblocks),
+        ctypes.c_int64(n),
+        ctypes.c_uint64(first),
+        ctypes.c_int32(bits),
+        out.ctypes.data_as(ctypes.c_void_p),
+    )
+    if end < 0:
+        if end in _DECODE_ERRORS:
+            raise _error(end)
+        raise RuntimeError(f"native dbp_decode failed rc={end}")
+    return out, end
+
+
+def _decode_binary_packed_numpy(buf, bits: int, pos: int = 0) -> tuple[np.ndarray, int]:
+    block_size, miniblocks, n, first, pos = _read_header(buf, pos)
+    if n < 2:
+        return _first_values(first, n, bits), pos
 
     mb_size = block_size // miniblocks
     mask = _MASK64 if bits == 64 else _U64(0xFFFFFFFF)
     nd = n - 1
-    nblocks = (nd + block_size - 1) // block_size
     # unneeded trailing miniblocks carry a width byte but no body (their
     # width "should be zero but readers must accept arbitrary values")
     mb_needed = (nd + mb_size - 1) // mb_size
-    # pass 1: walk headers, record every miniblock's (width, byte start)
-    mins = []
-    n_mb = nblocks * miniblocks
-    mb_w = np.zeros(n_mb, dtype=np.int32)
-    mb_start = np.empty(n_mb, dtype=np.int64)
+    # pass 1: walk headers, record every needed miniblock's (width, byte
+    # start), with dbp_decode's checks in its order
+    mins = np.empty((nd + block_size - 1) // block_size, dtype=np.uint64)
+    mb_w = np.empty(mb_needed, dtype=np.int64)
+    mb_start = np.empty(mb_needed, dtype=np.int64)
     k = 0
-    for _ in range(nblocks):
-        mn, pos = svarint_decode(buf, pos)
-        mins.append(mn & 0xFFFFFFFFFFFFFFFF)
+    for b in range(len(mins)):
+        mins[b], pos = _svarint64(buf, pos)
         widths = buf[pos : pos + miniblocks]
+        if len(widths) < miniblocks:
+            raise _error(-1)
         pos += miniblocks
-        for w in widths:
-            if k < mb_needed:
-                mb_w[k] = w
-                mb_start[k] = pos
-                pos += packed_byte_len(mb_size, w)
+        for w in widths[: mb_needed - k]:
+            if w > 64:
+                raise _error(-2)
+            end = pos + packed_byte_len(mb_size, w)
+            if end > len(buf):
+                raise _error(-1)
+            mb_w[k] = w
+            mb_start[k] = pos
+            pos = end
             k += 1
     # pass 2: unpack all miniblocks of equal width together (one
     # vectorized unpackbits per DISTINCT width instead of one numpy
-    # round-trip per 32-value miniblock)
-    deltas = np.zeros(n_mb * mb_size, dtype=np.uint64)
+    # round-trip per miniblock)
+    deltas = np.zeros(nd, dtype=np.uint64)
     buf_np = np.frombuffer(buf, dtype=np.uint8)
     for w in np.unique(mb_w):
         w = int(w)
@@ -251,13 +334,11 @@ def decode_binary_packed(buf: bytes, bits: int, pos: int = 0) -> tuple[np.ndarra
             << shifts[None, None, :]
         ).sum(axis=2, dtype=np.uint64)
         dst = (sel[:, None] * mb_size + np.arange(mb_size)[None, :]).ravel()
-        deltas[dst] = vals.ravel()
-    mins_u = np.array(mins, dtype=np.uint64)
-    deltas = (
-        (deltas.reshape(nblocks, block_size) + mins_u[:, None]) & mask
-    ).ravel()[:nd]
+        keep = dst < nd  # the last miniblock's padding
+        deltas[dst[keep]] = vals.ravel()[keep]
+    deltas = (deltas + mins[np.arange(nd) // block_size]) & mask
     acc = np.empty(n, dtype=np.uint64)
-    acc[0] = np.uint64(first & 0xFFFFFFFFFFFFFFFF)
+    acc[0] = np.uint64(first)
     np.cumsum(deltas, out=acc[1:])
     acc[1:] = (acc[1:] + acc[0]) & mask
     acc[0] &= mask

@@ -131,8 +131,6 @@ def fsck_store(store_dir: str, deep: bool = True) -> dict:
 
     if targets:
         def check_file(batch: pa.Table) -> pa.Table:
-            import zlib
-
             from ..codecs import chunk as chunk_mod
 
             out = []
@@ -154,7 +152,7 @@ def fsck_store(store_dir: str, deep: bool = True) -> dict:
                     ):
                         if codec != "dict_page":
                             seen += 1
-                        if zlib.crc32(payload) != crc:
+                        if not chunk_mod.blob_intact(payload, crc):
                             errs.append(
                                 f"{shard}: crc mismatch chunk {cid} column {col}"
                             )

@@ -9,7 +9,6 @@ shuffle: one task per chunk file.
 from __future__ import annotations
 
 import io
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -18,13 +17,19 @@ import pyarrow.parquet as pq
 from ..codecs import chunk as chunk_mod
 
 
-def _verified(blob: bytes, crc: int, column: str) -> bytes:
-    """The payload, after checking it against its chunk record's CRC32."""
-    if zlib.crc32(blob) != crc:
-        raise chunk_mod.ChunkError(
-            f"chunk payload checksum mismatch for column {column}"
-        )
-    return blob
+def _verified(blob: bytes, crc: int, column: str, read, **kwargs):
+    """read(blob, **kwargs) (decode_array, or a mask read from the chunk)
+    after checking `blob` against its chunk record's CRC32. The record is
+    compared with the blob's trailer in O(1), and `read`'s parse checks
+    the trailer against the body in the one full CRC pass; so a flipped
+    body or trailer byte, or another chunk's blob, is refused. A
+    ChunkError from either check, or from the read, names the column."""
+    try:
+        if not chunk_mod.record_crc_matches(blob, crc):
+            raise chunk_mod.ChunkError("chunk payload checksum mismatch")
+        return read(blob, **kwargs)
+    except chunk_mod.ChunkError as e:
+        raise chunk_mod.ChunkError(f"{e} for column {column}") from e
 
 
 def decode_chunk_table(chunks: pa.Table) -> pa.Table:
@@ -57,10 +62,15 @@ def decode_chunk_table(chunks: pa.Table) -> pa.Table:
         payloads = group.column("payload")
         for i in order:
             name = cols[int(i)].as_py()
-            blob = _verified(payloads[int(i)].as_py(), crcs[int(i)].as_py(), name)
             names.append(name)
             arrays.append(
-                chunk_mod.decode_array(blob, shared_dict=shared_dicts.get(name))
+                _verified(
+                    payloads[int(i)].as_py(),
+                    crcs[int(i)].as_py(),
+                    name,
+                    chunk_mod.decode_array,
+                    shared_dict=shared_dicts.get(name),
+                )
             )
         tables.append(pa.table(dict(zip(names, arrays))))
     return pa.concat_tables(tables)
@@ -168,8 +178,10 @@ def isnull_chunk_table(
                 raise chunk_mod.ChunkError(
                     f"null-scan column {column!r} missing from chunk group"
                 ) from None
-            blob = _verified(payloads[pred_i].as_py(), crcs[pred_i].as_py(), column)
-            mask = chunk_mod.null_mask(blob)
+            mask = _verified(
+                payloads[pred_i].as_py(), crcs[pred_i].as_py(), column,
+                chunk_mod.null_mask,
+            )
             if not mask.any():
                 continue
             sel = pa.array(mask)
@@ -181,8 +193,10 @@ def isnull_chunk_table(
             name = names[int(i)]
             if columns is not None and name not in columns:
                 continue
-            cb = _verified(payloads[int(i)].as_py(), crcs[int(i)].as_py(), name)
-            arr = chunk_mod.decode_array(cb, shared_dict=shared_dicts.get(name))
+            arr = _verified(
+                payloads[int(i)].as_py(), crcs[int(i)].as_py(), name,
+                chunk_mod.decode_array, shared_dict=shared_dicts.get(name),
+            )
             out_names.append(name)
             out_arrays.append(arr if sel is None else arr.filter(sel))
         tables.append(pa.table(dict(zip(out_names, out_arrays))))
@@ -244,14 +258,18 @@ def search_chunk_table(
             raise chunk_mod.ChunkError(
                 f"search column {column!r} missing from chunk group"
             ) from None
-        blob = _verified(payloads[pred_i].as_py(), crcs[pred_i].as_py(), column)
+        blob = payloads[pred_i].as_py()
         if pred is not None:
-            mask = chunk_mod.dict_domain_mask_pred(
-                blob, pred, shared_dict=shared_dicts.get(column)
+            mask = _verified(
+                blob, crcs[pred_i].as_py(), column,
+                chunk_mod.dict_domain_mask_pred,
+                pred=pred, shared_dict=shared_dicts.get(column),
             )
         else:
-            mask = chunk_mod.dict_domain_mask(
-                blob, wanted, shared_dict=shared_dicts.get(column)
+            mask = _verified(
+                blob, crcs[pred_i].as_py(), column,
+                chunk_mod.dict_domain_mask,
+                wanted=wanted, shared_dict=shared_dicts.get(column),
             )
         pred_arr = None
         if mask is None:  # codec has no encoded domain: decode + compare
@@ -288,9 +306,9 @@ def search_chunk_table(
             if name == column and pred_arr is not None:
                 arr = pred_arr
             else:
-                cb = _verified(payloads[int(i)].as_py(), crcs[int(i)].as_py(), name)
-                arr = chunk_mod.decode_array(
-                    cb, shared_dict=shared_dicts.get(name)
+                arr = _verified(
+                    payloads[int(i)].as_py(), crcs[int(i)].as_py(), name,
+                    chunk_mod.decode_array, shared_dict=shared_dicts.get(name),
                 )
             out_names.append(name)
             out_arrays.append(arr.filter(sel))

@@ -8,6 +8,8 @@ Ports the reference's encoding test strategy (SURVEY.md §5 / FIXTURES.md):
 - F4: seeded fuzz-style random round-trips (encoding/fuzz/fuzz.go:128-158).
 """
 
+import contextlib
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -474,6 +476,257 @@ def test_dbp_callers_write_numpy_bytes(monkeypatch):
         assert decode_array(blob).equals(arr)
 
 
+# -------------------------------------- DELTA_BINARY_PACKED decode in C
+
+
+@contextlib.contextmanager
+def _delta_kernel_off():
+    """Force delta.py's numpy paths, as a host without a compiler runs."""
+    from parquet_go_ray.codecs import native
+
+    saved = native._LIBS.get("_delta_native.c")
+    native._LIBS["_delta_native.c"] = False
+    try:
+        yield
+    finally:
+        if saved is None:
+            native._LIBS.pop("_delta_native.c", None)
+        else:
+            native._LIBS["_delta_native.c"] = saved
+
+
+def _dbp_both(buf, bits, pos=0):
+    """(C result, numpy result), each (values list, end) or the type of
+    the exception it raised."""
+    delta = _dbp_native()
+    out = []
+    for fn in (delta.decode_binary_packed, delta._decode_binary_packed_numpy):
+        try:
+            v, end = fn(buf, bits, pos)
+            assert v.dtype == (np.int32 if bits == 32 else np.int64)
+            out.append((v.tolist(), end))
+        except Exception as e:  # noqa: BLE001 - the type is compared
+            out.append(type(e))
+    return out
+
+
+def _dbp_stream(values, bits, block_size=128, miniblocks=4, junk=0, width=None):
+    """A DELTA_BINARY_PACKED stream in any spec-legal layout, packed value
+    by value in Python: `junk` is the width byte of every unneeded
+    trailing miniblock (readers skip it, whatever it holds), `width`
+    forces the width of every needed miniblock, and padding is 0."""
+    from parquet_go_ray.codecs._util import svarint_encode, uvarint_encode
+
+    mask = (1 << bits) - 1
+    v = [int(x) & mask for x in values]
+    out = bytearray(
+        uvarint_encode(block_size) + uvarint_encode(miniblocks) + uvarint_encode(len(v))
+        + svarint_encode(v[0] if v else 0, bits)
+    )
+    deltas = [(b - a) & mask for a, b in zip(v, v[1:])]
+    mb = block_size // miniblocks
+    for b0 in range(0, len(deltas), block_size):
+        block = deltas[b0 : b0 + block_size]
+        mn = min(d - (1 << bits) if d >> (bits - 1) else d for d in block)
+        adj = [(d - mn) & mask for d in block]
+        widths, body = [], bytearray()
+        for m in range(miniblocks):
+            part = adj[m * mb : (m + 1) * mb]
+            if not part:
+                widths.append(junk)
+                continue
+            w = max(part).bit_length() if width is None else width
+            widths.append(w)
+            body += sum(x << (i * w) for i, x in enumerate(part)).to_bytes(mb * w // 8, "little")
+        out += svarint_encode(mn, bits) + bytes(widths) + body
+    return bytes(out)
+
+
+@pytest.mark.parametrize("bits", (32, 64))
+@pytest.mark.parametrize("n", _DBP_SIZES)
+def test_dbp_decode_native_matches_numpy(bits, n):
+    """dbp_decode returns the numpy decoder's values and end position,
+    for a stream at a nonzero offset with bytes after it, in bytes and in
+    a memoryview."""
+    delta = _dbp_native()
+    dtype = np.int32 if bits == 32 else np.int64
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(n * bits + 1)
+    for v in (
+        rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True),
+        np.cumsum(rng.integers(0, 1000, n)).astype(dtype),
+        np.full(n, -7, dtype=dtype),
+        rng.integers(-3, 4, n).astype(dtype),
+    ):
+        stream = delta.encode_binary_packed(v, bits)
+        buf = b"\x80junk" + stream + b"\xff\x01tail"
+        for b in (buf, memoryview(buf)):
+            got = _dbp_both(b, bits, 5)
+            assert got[0] == got[1] == (v.tolist(), 5 + len(stream))
+
+
+@pytest.mark.parametrize("bits", (32, 64))
+def test_dbp_decode_wraparound_and_every_width(bits):
+    """Deltas that wrap modulo 2**bits, and streams whose miniblocks are
+    every width from 0 to 64 (above `bits`, the values wrap too)."""
+    dtype = np.int32 if bits == 32 else np.int64
+    lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+    delta = _dbp_native()
+    for vec in (
+        [lo, hi] * 16 * 5,
+        [hi, lo, 0, hi, -1, lo + 1],
+        [lo] + [hi] * 200,
+        list(range(hi - 300, hi)) + [lo],
+    ):
+        v = np.array(vec, dtype=dtype)
+        stream = delta.encode_binary_packed(v, bits)
+        assert _dbp_both(stream, bits) == [(v.tolist(), len(stream))] * 2
+    rng = np.random.default_rng(bits)
+    for w in range(65):
+        d = rng.integers(0, 1 << min(w, bits - 1, 62), 300, dtype=np.int64) if w else np.zeros(300, np.int64)
+        v = np.cumsum(d).astype(dtype)
+        stream = _dbp_stream(v, bits, width=w)
+        assert _dbp_both(stream, bits) == [(v.tolist(), len(stream))] * 2, w
+
+
+@pytest.mark.parametrize(
+    "block_size,miniblocks", [(256, 8), (1024, 8), (128, 1), (512, 4), (384, 3)]
+)
+@pytest.mark.parametrize("junk", (0, 9, 64, 255))
+def test_dbp_decode_any_block_layout(block_size, miniblocks, junk):
+    """Streams from other writers: any block size that is a multiple of
+    128, any miniblock count that leaves multiples of 32 values, with
+    garbage width bytes on the unneeded trailing miniblocks."""
+    rng = np.random.default_rng(block_size + miniblocks + junk)
+    for bits, dtype in ((32, np.int32), (64, np.int64)):
+        for n in (1, 2, 33, block_size, block_size + 1, 2 * block_size + 40, 3001):
+            v = np.cumsum(rng.integers(-500, 5000, n)).astype(dtype)
+            stream = _dbp_stream(v, bits, block_size, miniblocks, junk=junk)
+            assert _dbp_both(stream + b"\x07", bits) == [(v.tolist(), len(stream))] * 2
+
+
+def test_dbp_decode_truncated_raises():
+    """A stream cut at any byte raises IndexError on both decoders. (The
+    numpy decoder used to return wrong values for a stream cut inside a
+    block's width bytes: 300 int32 values in 422 bytes cut to 338.)"""
+    delta = _dbp_native()
+    rng = np.random.default_rng(0)
+    v = np.cumsum(rng.integers(0, 1000, 300)).astype(np.int32)
+    stream = delta.encode_binary_packed(v, 32)
+    assert len(stream) == 422
+    assert _dbp_both(stream[:338], 32) == [IndexError] * 2
+    streams = [(stream, 32)]
+    for bits, dtype in ((32, np.int32), (64, np.int64)):
+        w = rng.integers(-(2**20), 2**20, 700).astype(dtype)
+        streams += [(delta.encode_binary_packed(w, bits), bits), (_dbp_stream(w, bits, 256, 8, junk=200), bits)]
+    for s, bits in streams:
+        for cut in range(len(s)):
+            assert _dbp_both(s[:cut], bits) == [IndexError] * 2, cut
+            assert _dbp_both(memoryview(s)[:cut], bits) == [IndexError] * 2, cut
+
+
+def test_dbp_decode_rejects_malformed_streams():
+    """A needed miniblock wider than 64 bits, a min-delta varint beyond
+    64 bits and a count the stream cannot hold raise on both decoders,
+    the same type."""
+    from parquet_go_ray.codecs._util import uvarint_encode
+
+    v = np.arange(100, dtype=np.int64) * 3
+    stream = _dbp_stream(v, 64)
+    hdr = len(uvarint_encode(128) + uvarint_encode(4) + uvarint_encode(100)) + 1
+    wide = bytearray(stream)
+    wide[hdr + 1] = 65  # the block's min varint is 1 byte (6)
+    assert _dbp_both(bytes(wide), 64) == [ValueError] * 2
+    over = stream[:hdr] + b"\xff" * 10 + b"\x01" + stream[hdr + 1 :]
+    assert _dbp_both(over, 64) == [ValueError] * 2
+    many = uvarint_encode(128) + uvarint_encode(4) + uvarint_encode(10**9) + stream[hdr - 1 :]
+    assert _dbp_both(many, 64) == [IndexError] * 2
+    # a 32-bit layout field too large for Arrow's reader
+    huge = uvarint_encode(128 << 32) + stream[2:]
+    assert _dbp_both(huge, 64) == [ValueError] * 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dbp_decode_corruption_fuzz(seed):
+    """Random byte changes in valid streams: both decoders return the
+    same values and end, or raise the same exception type; neither
+    crashes. Run under -X faulthandler."""
+    delta = _dbp_native()
+    rng = np.random.default_rng(seed)
+    for it in range(500):
+        bits = (32, 64)[it % 2]
+        n = int(rng.integers(0, 600))
+        v = np.cumsum(rng.integers(-50, 1000, n)).astype(np.int32 if bits == 32 else np.int64)
+        stream = bytearray(
+            delta.encode_binary_packed(v, bits) if it % 3 else _dbp_stream(v, bits, 256, 8, junk=77)
+        )
+        for _ in range(int(rng.integers(1, 4))):
+            i = int(rng.integers(0, len(stream)))
+            stream[i] = int(rng.integers(0, 256)) if it % 4 else stream[i] ^ (1 << int(rng.integers(0, 8)))
+        got = _dbp_both(bytes(stream), bits)
+        assert got[0] == got[1], it
+        assert got[0] in (IndexError, ValueError) or isinstance(got[0], tuple)
+
+
+def test_dbp_callers_decode_alike_without_kernel(tmp_path):
+    """Every DELTA_BINARY_PACKED decode caller gives the same result with
+    the kernel and with native._LIBS["_delta_native.c"] = False: chunk
+    codecs (FSST lengths, DLBA, DBA, int32/int64 DBP, ALP) and the wire
+    reader on pyarrow-written DELTA_* pages."""
+    import pyarrow.parquet as pq
+
+    from parquet_go_ray.codecs import parquet_wire_read
+
+    _dbp_native()
+    strs = pa.array([f"https://host{i % 13}.example/p/{i * 7919 % 1000}" for i in range(1500)])
+    cases = [
+        (strs, R.FSST),
+        (strs, R.DELTA_LENGTH_BYTE_ARRAY),
+        (strs, R.DELTA_BYTE_ARRAY),
+        (pa.array(np.cumsum(np.arange(3000) % 17), pa.int64()), R.DELTA_BINARY_PACKED),
+        (pa.array(np.arange(3000, dtype=np.int32) * -3), R.DELTA_BINARY_PACKED),
+        (pa.array(np.round(np.linspace(0, 99, 2000), 2)), R.ALP_FLOAT),
+    ]
+    blobs = [encode_array(arr, codec) for arr, codec in cases]
+    assert [b[4] for b in blobs] == [c for _, c in cases]
+    t = pa.table(
+        {
+            "i32": pa.array(np.cumsum(np.arange(5000) % 11).astype(np.int32)),
+            "i64": pa.array(np.arange(5000, dtype=np.int64) * -(10**12)),
+            "dlba": pa.array([f"value {i * 31 % 977}" for i in range(5000)]),
+            "dba": pa.array([f"https://example.org/{i // 7}/{i}" for i in range(5000)]),
+        }
+    )
+    path = str(tmp_path / "delta.parquet")
+    pq.write_table(
+        t,
+        path,
+        use_dictionary=False,
+        column_encoding={
+            "i32": "DELTA_BINARY_PACKED",
+            "i64": "DELTA_BINARY_PACKED",
+            "dlba": "DELTA_LENGTH_BYTE_ARRAY",
+            "dba": "DELTA_BYTE_ARRAY",
+        },
+    )
+    encodings = {
+        pq.ParquetFile(path).metadata.row_group(0).column(i).encodings for i in range(4)
+    }
+    assert {e for es in encodings for e in es} >= {
+        "DELTA_BINARY_PACKED", "DELTA_LENGTH_BYTE_ARRAY", "DELTA_BYTE_ARRAY"
+    }
+    native_out = [decode_array(b) for b in blobs], parquet_wire_read.read_table(path)
+    with _delta_kernel_off():
+        numpy_out = [decode_array(b) for b in blobs], parquet_wire_read.read_table(path)
+    for (arr, codec), a, b in zip(cases, native_out[0], numpy_out[0]):
+        assert a.equals(arr) and b.equals(arr), R.CODEC_NAMES[codec]
+    for col in t.column_names:
+        want = t.column(col).combine_chunks()
+        for got in (native_out[1], numpy_out[1]):
+            g = got.column(col).combine_chunks()
+            assert g.cast(want.type).equals(want), col
+
+
 # ----------------------------------------------- chunk-record CRC
 
 
@@ -499,23 +752,25 @@ def _crc_blobs():
     yield "other", encode_array(pa.array([None, None], pa.null()))
 
 
-def test_blob_crc32_equals_full_crc():
-    """chunk.blob_crc32 (the trailer CRC continued over the trailer) is
-    zlib.crc32 of the whole blob for every codec and structural blob."""
+def test_blob_crc32_is_body_crc():
+    """chunk.blob_crc32 reads the trailer: zlib.crc32 of everything before
+    it, for every codec and structural blob. zlib.crc32 of a whole blob is
+    CRC-32's residue, one constant for every blob, so it names no blob."""
     import zlib
 
     from parquet_go_ray.codecs import chunk
 
     names = []
     for name, blob in _crc_blobs():
-        assert chunk.blob_crc32(blob) == zlib.crc32(blob), name
+        assert chunk.blob_crc32(blob) == zlib.crc32(blob[:-4]), name
+        assert zlib.crc32(blob) == chunk._WHOLE_BLOB_CRC, name
         names.append(name)
     assert len(names) == sum(map(len, (R.SUPPORTED[p] for p in _CRC_ARRAYS))) + 5
 
 
-def test_chunk_record_crcs_are_whole_blob_crcs():
-    """encode_table's records and a file-level dict page carry
-    zlib.crc32 of their payload."""
+def test_chunk_record_crcs_are_body_crcs():
+    """encode_table's records and a file-level dict page carry the CRC32
+    of their payload's body, the payload's trailer, one per blob."""
     import zlib
 
     from parquet_go_ray.codecs.dictionary import DictState
@@ -530,6 +785,124 @@ def test_chunk_record_crcs_are_whole_blob_crcs():
     )
     state = DictState()
     state.insert(pa.array(["en", "de", "fr"]))
+    seen = set()
     for records in (encode_table(t), _dict_page_rows({"lang": state}, "s0", None)):
         for payload, crc in zip(records.column("payload").to_pylist(), records.column("crc32").to_pylist()):
-            assert crc == zlib.crc32(payload)
+            assert crc == zlib.crc32(payload[:-4]) == int.from_bytes(payload[-4:], "little")
+            seen.add(crc)
+    assert len(seen) == 4
+
+
+# ------------------------------------ one CRC pass per chunk on decode
+
+
+def _crc_groups():
+    """Two chunk groups of the same shape (so a blob of one decodes in
+    the other): url, a lang column with nulls, and ints."""
+    from parquet_go_ray.stages.encode import encode_table
+
+    def table(k):
+        return pa.table(
+            {
+                "url": [f"https://h{(i + k) % 7}.example/{i * k}" for i in range(400)],
+                "lang": [None if i % 9 == 0 else ["en", "de", "fr"][(i + k) % 3] for i in range(400)],
+                "n": pa.array(np.arange(400) * (k + 1), pa.int64()),
+            }
+        )
+
+    return encode_table(table(1), bloom_columns=()), encode_table(table(2), bloom_columns=())
+
+
+def _corrupt_records(records, other, column: str, kind: str):
+    """records with `column`'s payload corrupted: a flipped body byte, a
+    flipped trailer byte, or the same column's blob from `other` (a valid
+    blob with its valid trailer). The record's crc32 is left as is."""
+    names = records.column("column").to_pylist()
+    i = names.index(column)
+    payloads = records.column("payload").to_pylist()
+    blob = bytearray(payloads[i])
+    if kind == "body":
+        blob[len(blob) // 2] ^= 0x01
+    elif kind == "trailer":
+        blob[-1] ^= 0x01
+    else:
+        blob = other.column("payload")[other.column("column").to_pylist().index(column)].as_py()
+        assert blob != payloads[i]
+    payloads[i] = bytes(blob)
+    j = records.schema.get_field_index("payload")
+    return records.set_column(j, "payload", pa.array(payloads, records.schema.field(j).type))
+
+
+_CORRUPTIONS = ("body", "trailer", "swapped")
+
+
+def _crc_callers():
+    """Every stages.decode reader that checks chunk CRCs, as
+    (name, column it reads first, call)."""
+    from parquet_go_ray.stages import decode as D
+
+    return {
+        "decode_chunk_table": ("url", D.decode_chunk_table),
+        "isnull": ("lang", lambda t: D.isnull_chunk_table(t, "lang", set())),
+        "isnull_output": ("n", lambda t: D.isnull_chunk_table(t, "lang", set(), ["n"])),
+        "search_wanted": ("lang", lambda t: D.search_chunk_table(t, "lang", wanted=["de"])),
+        "search_pred": (
+            "lang",
+            lambda t: D.search_chunk_table(t, "lang", pred=lambda a: pa.compute.equal(a, b"de")),
+        ),
+        "search_output": ("url", lambda t: D.search_chunk_table(t, "lang", wanted=["de"], columns=["url"])),
+    }
+
+
+@pytest.mark.parametrize("kind", _CORRUPTIONS)
+@pytest.mark.parametrize("caller", sorted(_crc_callers()))
+def test_one_crc_pass_refuses_corrupt_chunks(caller, kind):
+    """A flipped body byte, a flipped trailer byte and another chunk's
+    valid blob each raise ChunkError naming the column, through every
+    reader that checks a chunk record's CRC."""
+    from parquet_go_ray.codecs.chunk import ChunkError
+
+    column, call = _crc_callers()[caller]
+    records, other = _crc_groups()
+    assert call(records).num_rows  # intact: reads rows
+    with pytest.raises(ChunkError, match=f"checksum mismatch for column {column}"):
+        call(_corrupt_records(records, other, column, kind))
+
+
+def test_one_crc_pass_is_one_full_crc(monkeypatch):
+    """decode_chunk_table runs zlib.crc32 over each blob once."""
+    import zlib
+
+    from parquet_go_ray.codecs import chunk
+    from parquet_go_ray.stages.decode import decode_chunk_table
+
+    records, _ = _crc_groups()
+    sizes = []
+    crc32 = zlib.crc32
+
+    def counting_crc32(data, value=0):
+        sizes.append(len(data))
+        return crc32(data, value)
+
+    monkeypatch.setattr(chunk.zlib, "crc32", counting_crc32)
+    decode_chunk_table(records)
+    blobs = records.column("payload").to_pylist()
+    assert sorted(sizes) == sorted(len(b) - 4 for b in blobs)
+
+
+def test_legacy_record_crc_still_reads():
+    """A record from before records carried the trailer holds the CRC of
+    the whole blob (the residue constant): it still decodes, and its
+    blob's body is still checked."""
+    import zlib
+
+    from parquet_go_ray.codecs.chunk import ChunkError
+    from parquet_go_ray.stages.decode import decode_chunk_table
+
+    records, other = _crc_groups()
+    legacy = [zlib.crc32(b) for b in records.column("payload").to_pylist()]
+    j = records.schema.get_field_index("crc32")
+    old = records.set_column(j, "crc32", pa.array(legacy, records.schema.field(j).type))
+    assert decode_chunk_table(old).equals(decode_chunk_table(records))
+    with pytest.raises(ChunkError, match="checksum mismatch for column url"):
+        decode_chunk_table(_corrupt_records(old, other, "url", "body"))

@@ -50,3 +50,35 @@ def test_fsck_finds_problems(store, ray_session):
     wtext = "\n".join(res["warnings"])
     assert "orphan data file" in wtext
     assert "leftover compaction intent" in wtext
+
+
+def test_fsck_flags_each_chunk_corruption(store, ray_session):
+    """fsck's full CRC pass flags a flipped payload body byte, a flipped
+    trailer byte and another chunk's valid blob in a record's place, and
+    names the chunk and the column."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    victim = sorted((Path(store) / "data").glob("*/*.parquet"))[0]
+    original = victim.read_bytes()
+    t = pq.read_table(victim)
+    payloads = t.column("payload").to_pylist()
+    i = next(k for k, c in enumerate(t.column("codec").to_pylist()) if c != "dict_page")
+    j = next(k for k, p in enumerate(payloads) if p != payloads[i])
+    where = f"crc mismatch chunk {t.column('chunk_id')[i].as_py()} column {t.column('column')[i].as_py()}"
+    f = t.schema.get_field_index("payload")
+    for kind in ("body", "trailer", "swapped"):
+        blob = bytearray(payloads[i])
+        if kind == "body":
+            blob[len(blob) // 2] ^= 0x01
+        elif kind == "trailer":
+            blob[-1] ^= 0x01
+        else:
+            blob = payloads[j]
+        bad = payloads[:i] + [bytes(blob)] + payloads[i + 1 :]
+        pq.write_table(t.set_column(f, "payload", pa.array(bad, t.schema.field(f).type)), victim)
+        res = fsck_store(store)
+        assert not res["ok"], kind
+        assert where in "\n".join(res["errors"]), (kind, res["errors"])
+        victim.write_bytes(original)
+    assert fsck_store(store)["ok"]

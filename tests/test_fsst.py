@@ -97,7 +97,7 @@ def test_native_numpy_cross_compat():
 
 # every C kernel and the symbols its Python callers look up
 _NATIVE_KERNELS = {
-    "_delta_native.c": ("dba_decode", "dbp_encode"),
+    "_delta_native.c": ("dba_decode", "dbp_encode", "dbp_decode"),
     "_fsst_native.c": (
         "fsst_lookup_size",
         "fsst_lookup_build",
