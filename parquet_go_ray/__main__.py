@@ -198,6 +198,11 @@ def cmd_describe(args) -> int:
             f"{name:12s} {c['chunks']:7d} {c['raw']/1e6:9.2f} {c['enc']/1e6:9.2f} "
             f"{ratio:6.3f}  {codecs}"
         )
+    plan = (manifest.load_job_meta(args.encoded_dir) or {}).get("plan")
+    if plan:
+        print("job plan (codec, sample ratio): " + "  ".join(
+            f"{name}={e['codec']} {e['ratio']:.3f}" for name, e in plan.items()
+        ))
     return 0
 
 

@@ -619,7 +619,10 @@ def _parse_chunk(buf: bytes):
     """Header parse + CRC verify shared by decode_array and the
     encoded-domain predicate path (dict_domain_mask). Returns
     (codec, ptype, flba_width, n, n_null, ty, validity, payload) with
-    the payload already decompressed."""
+    the payload already decompressed. `buf` is any bytes-like object;
+    the parts are unsigned-byte views of it (a pyarrow Buffer exports
+    signed bytes), so no payload is copied."""
+    buf = memoryview(buf).cast("B")
     if len(buf) < _HDR.size + 4:
         raise ChunkError(f"buffer too short for a chunk: {len(buf)} bytes")
     (

@@ -25,8 +25,8 @@ present:
   exact greedy longest match, so the C and numpy encoders write the same
   bytes. It is built on a table's first native encode and kept in a
   small LRU of the tables last used (``_LOOKUPS``), not on the table:
-  at 157 KiB it is 70 times the table, and the selection caches keep
-  one table per column and language run;
+  at 157 KiB it is 70 times the table, and a selection plan keeps one
+  table per column;
 - decode skips that header and writes each symbol with one unconditional
   8-byte store (the paper's design) straight into the buffer that becomes
   the Arrow value buffer. ``decode_byte_array`` sizes that buffer exactly
@@ -78,7 +78,7 @@ TRAIN_ITERS = 4
 _U64 = np.uint64
 
 # the C encoder's lookups of the tables last used, least recent first
-# (a table is reused across chunks through the selection cache, and a
+# (a table is reused across chunks through the selection plan, and a
 # chunk's FSST columns each use one table); weak keys, so a table that
 # is dropped takes its lookup with it
 MAX_LOOKUPS = 16  # 2.5 MiB
@@ -200,6 +200,11 @@ class SymbolTable:
         )
         self._lens_u8 = np.zeros(MAX_SYMBOLS, dtype=np.uint8)
         self._lens_u8[:n] = lens
+
+    def __reduce__(self):
+        # a pickle (a job plan shipped to tasks) carries the symbols,
+        # not the lazily built 16 MiB numpy matcher tables
+        return (SymbolTable, (self.symbols,))
 
     @property
     def symbols(self) -> list[bytes]:

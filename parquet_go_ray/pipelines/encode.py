@@ -13,21 +13,27 @@ Modes:
   driver never probes footers; resume skips whole completed shards.
 - "lang_local": skew-aware layout with ZERO shuffle — each task sorts
   its own shard by (lang, warc_ts) before chunking, so chunks are
-  language-homogeneous runs and the per-run selection caches hold
-  per-language FSST/dict tables. Measured at sf0.1: ratio 0.334 at
+  language runs that share prefixes and dictionaries; the job plan is
+  sampled after the same sort. Measured at sf0.1: ratio 0.334 at
   ~1.2x direct wall time (direct 0.339, lang_salted 0.329 at ~8x) —
   most of the salted ratio win without moving any payload.
 - "lang_salted" (north-rule skew handling): explicit
   `groupby(lang, salt)` shuffle before encoding, salt = hash(url) %
   salts, so hot languages (en is ~40% of rows) split into bounded
-  partitions; each (lang, salt) group is a deterministic shard with
-  denser per-language dictionaries/FSST tables; resumed runs re-shuffle
-  but skip the encode+write work of durable partitions.
+  partitions; each (lang, salt) group is a deterministic shard that
+  fills its own selection plan, so its dictionaries and FSST tables
+  specialize to its language; resumed runs re-shuffle but skip the
+  encode+write work of durable partitions.
 - "zorder": global sample-sort on a Morton key over two int-like
   columns — range predicates on EITHER column prune chunk stats
   (Z-ORDER BY clustering; single-column sort helps only its own column).
 - "bucket": groupby on hash(key) % B; every bucket is a shard, the
   layout storage-partitioned joins pair on.
+
+Every mode but lang_salted encodes with one selection plan per job
+(`ChunkEncoder.sample_plan`, sampled from the sorted input list and
+recorded in `_manifest/_job.json`), so a rerun, a retried task or a
+resumed shard writes the same chunk files whatever the task layout.
 
 At 100 TB: lineage rows are ~1e-5 of the data volume and only
 block-split shards send theirs to the driver. Chunk files land under one
@@ -46,6 +52,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..codecs.registry import CODEC_NAMES
 from ..codecs.registry import FORMAT_VERSION as _FORMAT_VERSION
 from ..stages.encode import (
     ChunkEncoder,
@@ -108,17 +115,15 @@ def encode_job(*args, **kwargs) -> dict:
 
 def _encode_salted_group(group: pa.Table, encoder: ChunkEncoder) -> pa.Table:
     """lang_salted's map_groups body: one (lang, salt) partition is one
-    shard, encoded with the store's per-language selection cache so the
-    FSST tables specialize to the language whose partitions this worker
-    encodes — the point of the salted layout. The partition lands in ONE
-    packed file, so dict-winning string columns write their accumulated
-    per-language dictionary once per file."""
+    shard. The encoder carries no job plan, so the partition fills its
+    own from its first chunk and its FSST tables specialize to its
+    language — the point of the salted layout. The partition lands in
+    ONE packed file, so dict-winning string columns write their
+    accumulated per-language dictionary once per file."""
     lang = group.column("lang")[0].as_py()
     salt = group.column("_salt")[0].as_py()
     row = encoder.encode_shard(
-        group.drop_columns(["_salt"]),
-        f"lang={lang}-s{salt:02d}",
-        cache=encoder._cache(lang),
+        group.drop_columns(["_salt"]), f"lang={lang}-s{salt:02d}"
     )
     return summary_table([] if row is None else [row])
 
@@ -176,17 +181,32 @@ def _encode_job_impl(
             "hash": BUCKET_HASH_VERSION,
             "kind": bucket_kind(key_field.type),
         }
+    enc = ChunkEncoder(
+        output_dir=output_dir,
+        rows_per_chunk=rows_per_chunk,
+        compression=compression,
+        bloom_columns=bloom_columns,
+        codec_overrides=codec_overrides,
+        skip_completed=resume and mode != "zorder",
+        # lang_local: the skew-aware layout WITHOUT a shuffle — each
+        # task sorts its own shard by (lang, warc_ts) before chunking:
+        # language runs share prefixes and dictionaries AND timestamps
+        # stay delta-packable ((lang, url) keys lose the ts ordering —
+        # measured 0.3257 vs 0.3226 per-chunk ratio)
+        local_sort=("lang", "warc_ts") if mode == "lang_local" else None,
+    )
+    if mode != "lang_salted":
+        # sampled from ALL input files, not the pending ones, so a
+        # resumed run rebuilds the same plan
+        enc.plan = enc.sample_plan(input_files, columns)
+        job_meta["plan"] = {
+            name: {
+                "codec": CODEC_NAMES[e["codec"]],
+                "ratio": round(e["baseline"], 4),
+            }
+            for (name, _), e in enc.plan.items()
+        }
     manifest.write_job_meta(output_dir, job_meta)
-
-    def encoder(**kwargs) -> ChunkEncoder:
-        return ChunkEncoder(
-            output_dir=output_dir,
-            rows_per_chunk=rows_per_chunk,
-            compression=compression,
-            bloom_columns=bloom_columns,
-            codec_overrides=codec_overrides,
-            **kwargs,
-        )
 
     skipped = 0
     if mode in ("direct", "lang_local"):
@@ -205,16 +225,6 @@ def _encode_job_impl(
         # and reuse warm workers — no pool-startup serialization
         # (measured 7.6s vs 13.7s at 32 CPUs)
         nblocks = override_num_blocks or len(pending)
-        enc = encoder(
-            skip_completed=resume,
-            # lang_local: the skew-aware layout WITHOUT a shuffle — each
-            # task sorts its own shard by (lang, warc_ts) before
-            # chunking: language-homogeneous chunks specialize the
-            # per-language FSST/dict tables AND timestamps stay
-            # delta-packable ((lang, url) keys lose the ts ordering —
-            # measured 0.3257 vs 0.3226 per-chunk ratio)
-            local_sort=("lang", "warc_ts") if mode == "lang_local" else None,
-        )
         ds = ray.data.from_items(
             [{"path": f} for f in pending],
             override_num_blocks=max(1, min(nblocks, len(pending))),
@@ -282,8 +292,6 @@ def _encode_job_impl(
             key = morton_key(_quant(va, a_min, a_max), _quant(vb, b_min, b_max))
             return t.append_column("_zkey", pa.array(key, type=pa.int64()))
 
-        enc = encoder(skip_completed=False)
-
         def encode_block(t: pa.Table) -> pa.Table:
             # post-shuffle blocks have no source file: each block is a
             # shard named by its content hash and commits its manifest
@@ -313,7 +321,6 @@ def _encode_job_impl(
         from ..sources.pathwise import read_parquet_pathwise
 
         ds = read_parquet_pathwise(input_files, columns=columns)
-        enc = encoder(skip_completed=resume)
 
         def add_bucket(batch: pa.Table) -> pa.Table:
             b = bucket_ids(batch.column(bucket_key), num_buckets)
@@ -322,8 +329,8 @@ def _encode_job_impl(
         def encode_bucket(group: pa.Table) -> pa.Table:
             # one map_groups call owns its bucket entirely: manifest
             # committed in-task, nothing further shuffles. Buckets are
-            # hash-mixed (no per-bucket content skew), so the store's one
-            # selection cache serves every bucket a worker encodes
+            # hash-mixed (no per-bucket content skew), so the job plan
+            # serves every bucket
             bucket = group.column("_bucket")[0].as_py()
             row = enc.encode_shard(
                 group.drop_columns(["_bucket"]), f"bucket={bucket:05d}"
@@ -341,7 +348,6 @@ def _encode_job_impl(
         from ..sources.pathwise import read_parquet_pathwise
 
         ds = read_parquet_pathwise(input_files, columns=columns)
-        enc = encoder(skip_completed=resume)
         # adaptive salting: one tiny count-by-lang pass sizes each key's
         # partition count (hot keys split, rare keys stay whole)
         salt_map = _salt_counts(

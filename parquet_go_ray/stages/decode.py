@@ -43,7 +43,7 @@ def decode_chunk_table(chunks: pa.Table) -> pa.Table:
     if pc.any(dict_mask).as_py():
         pages = chunks.filter(dict_mask)
         for col, payload in zip(pages.column("column"), pages.column("payload")):
-            shared_dicts[col.as_py()] = chunk_mod.decode_array(payload.as_py())
+            shared_dicts[col.as_py()] = chunk_mod.decode_array(payload.as_buffer())
         chunks = chunks.filter(pc.invert(dict_mask))
     ids = chunks.column("chunk_id").to_numpy(zero_copy_only=False)
     tables = []
@@ -65,7 +65,7 @@ def decode_chunk_table(chunks: pa.Table) -> pa.Table:
             names.append(name)
             arrays.append(
                 _verified(
-                    payloads[int(i)].as_py(),
+                    payloads[int(i)].as_buffer(),
                     crcs[int(i)].as_py(),
                     name,
                     chunk_mod.decode_array,
@@ -157,7 +157,7 @@ def isnull_chunk_table(
     if pc.any(dict_mask).as_py():
         pages = chunks.filter(dict_mask)
         for col, payload in zip(pages.column("column"), pages.column("payload")):
-            shared_dicts[col.as_py()] = chunk_mod.decode_array(payload.as_py())
+            shared_dicts[col.as_py()] = chunk_mod.decode_array(payload.as_buffer())
         chunks = chunks.filter(pc.invert(dict_mask))
     ids = chunks.column("chunk_id").to_numpy(zero_copy_only=False)
     if len(ids) == 0:
@@ -179,7 +179,7 @@ def isnull_chunk_table(
                     f"null-scan column {column!r} missing from chunk group"
                 ) from None
             mask = _verified(
-                payloads[pred_i].as_py(), crcs[pred_i].as_py(), column,
+                payloads[pred_i].as_buffer(), crcs[pred_i].as_py(), column,
                 chunk_mod.null_mask,
             )
             if not mask.any():
@@ -194,7 +194,7 @@ def isnull_chunk_table(
             if columns is not None and name not in columns:
                 continue
             arr = _verified(
-                payloads[int(i)].as_py(), crcs[int(i)].as_py(), name,
+                payloads[int(i)].as_buffer(), crcs[int(i)].as_py(), name,
                 chunk_mod.decode_array, shared_dict=shared_dicts.get(name),
             )
             out_names.append(name)
@@ -239,7 +239,7 @@ def search_chunk_table(
     if pc.any(dict_mask).as_py():
         pages = chunks.filter(dict_mask)
         for col, payload in zip(pages.column("column"), pages.column("payload")):
-            shared_dicts[col.as_py()] = chunk_mod.decode_array(payload.as_py())
+            shared_dicts[col.as_py()] = chunk_mod.decode_array(payload.as_buffer())
         chunks = chunks.filter(pc.invert(dict_mask))
     ids = chunks.column("chunk_id").to_numpy(zero_copy_only=False)
     if len(ids) == 0:
@@ -258,7 +258,7 @@ def search_chunk_table(
             raise chunk_mod.ChunkError(
                 f"search column {column!r} missing from chunk group"
             ) from None
-        blob = payloads[pred_i].as_py()
+        blob = payloads[pred_i].as_buffer()
         if pred is not None:
             mask = _verified(
                 blob, crcs[pred_i].as_py(), column,
@@ -307,7 +307,7 @@ def search_chunk_table(
                 arr = pred_arr
             else:
                 arr = _verified(
-                    payloads[int(i)].as_py(), crcs[int(i)].as_py(), name,
+                    payloads[int(i)].as_buffer(), crcs[int(i)].as_py(), name,
                     chunk_mod.decode_array, shared_dict=shared_dicts.get(name),
                 )
             out_names.append(name)

@@ -25,20 +25,22 @@ Derived-column families (pipelines/derive.py) write their own files,
 because their chunk ids and column slots come from the base store,
 but build their records with the same `chunk_record`.
 
-Codec selection state (the winning codec id + the trained FSST symbol
-table per column) is cached per worker process: Ray reuses workers
-across tasks, so the sampling/training cost is paid once per worker
-instead of once per 4096-row chunk — the load-once-per-actor pattern,
-without requiring an actor pool. A drift guard re-runs selection when a
-chunk's ratio degrades vs the ratio at selection time, and every
-RESELECT_EVERY chunks regardless.
+Codec selection follows one plan per job: a dict mapping (column,
+dtype) to the winning codec, its ctx (the trained FSST table) and the
+ratio it reached, `baseline`. `encode_job` builds the plan on the driver
+from a sample of its input (`ChunkEncoder.sample_plan`) and ships it
+inside the `ChunkEncoder`; every chunk only reads it (`encode_column`).
+A chunk that encodes worse than its entry's baseline × (1 +
+RETRAIN_SLACK) selects for itself alone and keeps the smaller blob. A
+writer with no job plan fills a fresh plan from the first chunk of each
+`encode_shard` call. So a store's bytes depend on the input, the encode
+config and the shard, never on which worker encoded which shard.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import uuid
 from pathlib import Path
 
 import numpy as np
@@ -220,39 +222,11 @@ def chunk_id_for(table: pa.Table) -> str:
     return h.hexdigest()[:16]
 
 
-# ---------------------------------------------------------------------------
-# per-worker codec-selection cache
-#
-# Keyed by (column name, dtype) inside a per-JOB namespace; Ray reuses
-# worker processes across tasks AND across jobs, so the selector's
-# sampling + FSST training amortize over every chunk a worker encodes
-# for one job (writer.go:340-347's per-writer dictionary state, made
-# per-worker) — but a selection trained on job A's `text` column must
-# never be reused for job B's unrelated `text` column (two corpora
-# sharing a long-lived cluster would cross-contaminate codec choices,
-# and the drift guard needs DRIFT_HYSTERESIS consecutive bad chunks to
-# notice). The namespace key is the STORE identity (output_dir +
-# encode config; a fresh nonce for in-memory jobs), shipped in the
-# serialized ChunkEncoder — re-runs against the same store stay warm,
-# other stores stay invisible; stale namespaces are evicted FIFO so
-# long-lived workers stay bounded. Entries re-validate on ratio drift
-# and on a fixed cadence.
-
-RESELECT_EVERY = 64  # chunks between forced (fully fresh) re-selections
-RETRAIN_SLACK = 0.3  # ratio degradation that counts as drift
-DRIFT_HYSTERESIS = 2  # consecutive drift chunks before re-selecting
-MAX_CACHE_NAMESPACES = 8  # concurrent jobs a worker keeps state for
-
-_COLUMN_CACHE: dict[str, dict] = {}
-
-
-def _namespace_cache(store: dict[str, dict], ns: str) -> dict:
-    cache = store.get(ns)
-    if cache is None:
-        while len(store) >= MAX_CACHE_NAMESPACES:
-            store.pop(next(iter(store)))
-        cache = store[ns] = {}
-    return cache
+# a chunk whose ratio exceeds its plan entry's baseline by this fraction
+# selects for itself alone
+RETRAIN_SLACK = 0.3
+PLAN_FILES = 8  # input files the job plan samples, evenly spaced
+PLAN_ROWS = 512  # leading rows sampled per file
 
 
 def _comp_for(compression, name: str) -> str | None:
@@ -265,68 +239,52 @@ def _comp_for(compression, name: str) -> str | None:
     return compression
 
 
-def _encode_column_cached(
+def encode_column(
     arr: pa.Array,
     name: str,
     override: int | None,
     compression: str | None,
-    cache: dict[str, dict],
+    plan: dict,
     shared_dicts: dict | None = None,
 ) -> bytes:
-    """Encode one column chunk, consulting/maintaining the selection cache.
+    """Encode one column chunk with its selection-plan entry.
 
-    Natural chunk-to-chunk ratio variance must not thrash the cache (a
-    re-selection trial-encodes every candidate and trains an FSST table —
-    the very cost the cache exists to amortize), so invalidation needs
-    DRIFT_HYSTERESIS consecutive bad chunks, and a drift-triggered
-    re-selection reuses the previous FSST table as its trial table (a
-    stale table only mis-ranks FSST itself, and only pessimistically;
-    the periodic RESELECT_EVERY pass always retrains from scratch)."""
+    With no entry for (column, dtype), the chunk selects (or applies its
+    override) and its choice becomes the entry. With an entry, the chunk
+    reuses its codec and ctx; a dict-winning string column in a packed
+    file (`shared_dicts`: column -> DictState) emits indexes only, and
+    the file's dict page holds the values once (writer.go:340-347
+    parity). If the blob's ratio exceeds the entry's baseline × (1 +
+    RETRAIN_SLACK), the chunk also selects for itself alone and keeps
+    the smaller blob; the entry is never changed. A discarded
+    dict_shared blob leaves its new values in the dict page: the page
+    only appends, so every kept index stays valid."""
     key = (name, str(arr.type))
-    ent = cache.get(key)
-    if ent is not None and override is not None and ent["codec"] != override:
-        ent = None
-    if ent is not None and ent["uses"] < RESELECT_EVERY:
-        codec = ent["codec"]
-        ctx = ent["ctx"]
-        if (
-            shared_dicts is not None
-            and codec == R.CODEC_IDS["dict"]
-            and chunk_mod.physical_type(arr.type) == 5  # BYTE_ARRAY
-        ):
-            # dict-winning string column in a packed file: emit indexes
-            # only; the accumulated dictionary is written ONCE per file
-            # as a dict page (writer.go:340-347 parity)
-            from ..codecs.dictionary import DictState
-
-            ctx = dict(ctx)
-            ctx["shared_dict"] = shared_dicts.setdefault(name, DictState())
-            codec = R.CODEC_IDS["dict_shared"]
-        blob = chunk_mod.encode_array(arr, codec, compression, ctx)
-        ent["uses"] += 1
-        ratio = len(blob) / max(1, arr.nbytes)
-        if ratio > ent["baseline"] * (1 + RETRAIN_SLACK):
-            ent["drift"] = ent.get("drift", 0) + 1
-            if ent["drift"] >= DRIFT_HYSTERESIS:
-                stale = cache.pop(key)
-                table = stale["ctx"].get("fsst_table")
-                if table is not None and stale["codec"] != R.CODEC_IDS["fsst"]:
-                    cache[("__hint__",) + key] = table
-        else:
-            ent["drift"] = 0
+    ent = plan.get(key)
+    if ent is None:
+        ctx: dict = {}
+        blob = chunk_mod.encode_array(arr, override, compression, ctx)
+        plan[key] = {
+            "codec": blob[4],
+            "ctx": ctx,
+            "baseline": len(blob) / max(1, arr.nbytes),
+        }
         return blob
-    ctx = {}
-    hint = cache.pop(("__hint__",) + key, None)
-    if hint is not None:
-        ctx["fsst_table"] = hint
-    blob = chunk_mod.encode_array(arr, override, compression, ctx)
-    cache[key] = {
-        "codec": blob[4],
-        "ctx": ctx,
-        "uses": 1,
-        "drift": 0,
-        "baseline": len(blob) / max(1, arr.nbytes),
-    }
+    codec, ctx = ent["codec"], ent["ctx"]
+    if (
+        shared_dicts is not None
+        and codec == R.DICT
+        and chunk_mod.physical_type(arr.type) == R.BYTE_ARRAY
+    ):
+        from ..codecs.dictionary import DictState
+
+        ctx = dict(ctx, shared_dict=shared_dicts.setdefault(name, DictState()))
+        codec = R.DICT_SHARED
+    blob = chunk_mod.encode_array(arr, codec, compression, ctx)
+    if len(blob) > ent["baseline"] * (1 + RETRAIN_SLACK) * max(1, arr.nbytes):
+        own = chunk_mod.encode_array(arr, override, compression)
+        if len(own) < len(blob):
+            return own
     return blob
 
 
@@ -336,26 +294,28 @@ def encode_table(
     codec_overrides: dict[str, int] | None = None,
     compression: str | None = None,
     bloom_columns: tuple[str, ...] = ("url",),
-    cache: dict[str, dict] | None = None,
+    plan: dict | None = None,
     shared_dicts: dict | None = None,
 ) -> pa.Table:
     """Encode all columns of a table slice into a chunk-record table.
 
-    `cache` is the per-worker selection cache (codec id + ctx + drift
-    guard); `shared_dicts` (column -> DictState) enables file-level dict
-    pages for dict-winning string columns."""
+    `plan` is the selection plan `encode_column` reads and fills; with
+    none, every column selects on its own. `shared_dicts` (column ->
+    DictState) enables file-level dict pages for dict-winning string
+    columns."""
+    plan = {} if plan is None else plan
     cid = chunk_id_for(table)
     records = []
     for i, name in enumerate(table.column_names):
         arr = table.column(name).combine_chunks()
-        codec = (codec_overrides or {}).get(name)
-        comp = _comp_for(compression, name)
-        if cache is not None:
-            blob = _encode_column_cached(
-                arr, name, codec, comp, cache, shared_dicts
-            )
-        else:
-            blob = chunk_mod.encode_array(arr, codec, comp)
+        blob = encode_column(
+            arr,
+            name,
+            (codec_overrides or {}).get(name),
+            _comp_for(compression, name),
+            plan,
+            shared_dicts,
+        )
         bloom = None
         if name in bloom_columns and table.num_rows:
             from ..functions.hashing import BloomFilter
@@ -485,8 +445,8 @@ def write_chunk_file(chunks: pa.Table, output_dir: str) -> pa.Table:
 
 class ChunkEncoder:
     """Shard encoder shipped as an INSTANCE inside the encode stage's
-    callables -> stateless Ray tasks (elastic, no pool startup) whose
-    codec-selection state lives in the per-worker cache. `encode_shard`
+    callables -> stateless Ray tasks (elastic, no pool startup) that
+    carry the job's selection plan with them. `encode_shard`
     is the whole-shard unit every chunk-store writer shares (see the
     module docstring for the list); `__call__` returns it as a table.
 
@@ -527,29 +487,9 @@ class ChunkEncoder:
         self.codec_overrides = {
             k: R.CODEC_IDS[v] for k, v in (codec_overrides or {}).items()
         }
-        # per-STORE cache namespace (VERDICT r3 #1): shipped in the
-        # serialized instance to every task, so all tasks of this job
-        # share worker-local state while jobs writing OTHER stores on
-        # the same reused workers cannot see (or poison) it. Keyed by
-        # store identity + encode config rather than a per-call nonce:
-        # re-running a job against the same store (resume, retry, a
-        # steady ingest loop) is the same corpus by construction, and
-        # re-warming selection + FSST training per run would tax every
-        # worker's first chunks for nothing (the drift guard still
-        # catches a store whose content genuinely changed).
-        # In-memory jobs (output_dir=None) have no store identity and
-        # get a fresh nonce.
-        if output_dir is None:
-            self.cache_namespace = uuid.uuid4().hex
-        else:
-            self.cache_namespace = "|".join(
-                (
-                    str(output_dir),
-                    str(compression),
-                    str(sorted(self.codec_overrides.items())),
-                    str(self.local_sort),
-                )
-            )
+        # the job's selection plan (`sample_plan`), read by every chunk;
+        # None -> each encode_shard call fills a fresh plan
+        self.plan: dict | None = None
         # the store's completed shards, listed once per deserialized
         # instance (once per task) on the first resume check
         self._completed: set[str] | None = None
@@ -569,89 +509,84 @@ class ChunkEncoder:
         row_bytes = max(1, table.nbytes // table.num_rows)
         return max(1, min(self.rows_per_chunk, self.max_chunk_bytes // row_bytes))
 
-    def _cache(self, run: str | None = None) -> dict:
-        """The worker's codec-selection cache under this store's
-        namespace, so a reused worker never bleeds one store's
-        selections into another: one cache for the whole store, or with
-        `run` (a key run such as a language) one cache per run, so each
-        language keeps its own specialized FSST tables."""
-        if run is None:
-            return _namespace_cache(_COLUMN_CACHE, self.cache_namespace)
-        return _namespace_cache(_LANG_CACHES, self.cache_namespace).setdefault(
-            f"run:{run}", {}
-        )
+    def _local_sorted(self, table: pa.Table) -> pa.Table:
+        keys = [k for k in self.local_sort or () if k in table.column_names]
+        if keys and table.num_rows:
+            return table.sort_by([(k, "ascending") for k in keys])
+        return table
 
-    def _encode_groups(
-        self, group: pa.Table, shard: str, cache: dict
-    ) -> list[pa.Table]:
-        """Encode one shard group into chunk-record tables (the per-task
-        inner loop)."""
-        if self.local_sort and group.num_rows:
-            keys = [k for k in self.local_sort if k in group.column_names]
-            if keys:
-                group = group.sort_by([(k, "ascending") for k in keys])
-        step = self._chunk_rows(group)
-        # after a local sort whose leading key is a categorical (lang),
-        # chunks are key-homogeneous runs: select codecs/tables per
-        # (key, column) instead of per column, so each language keeps
-        # its own specialized FSST table in the worker cache
-        cache_key_col = (
-            self.local_sort[0]
-            if self.local_sort
-            and group.num_rows
-            and self.local_sort[0] in group.column_names
-            else None
-        )
-        # file-level shared dictionaries only pay off when the file
-        # holds several chunk groups
-        shared: dict | None = (
-            {} if self.output_dir and group.num_rows > step else None
-        )
-        groups = []
-        for start in range(0, group.num_rows, step):
-            piece = group.slice(start, step)
-            piece_cache = cache
-            if cache_key_col is not None:
-                kc = piece.column(cache_key_col)
-                # (first, last) key: a pure run shares its language's
-                # cached tables; a boundary chunk spanning several
-                # languages trains on its own mixed content instead of
-                # borrowing the leading language's table
-                piece_cache = self._cache(f"{kc[0].as_py()}|{kc[-1].as_py()}")
-            groups.append(
-                encode_table(
-                    piece,
-                    shard,
-                    self.codec_overrides,
-                    self.compression,
-                    self.bloom_columns,
-                    cache=piece_cache,
-                    shared_dicts=shared,
-                )
+    def sample_plan(self, files: list[str], columns: list[str] | None = None) -> dict:
+        """The job's selection plan, built once on the driver: the
+        first PLAN_ROWS rows of up to PLAN_FILES evenly spaced files of
+        the sorted `files` (stopping at a chunk's byte cap; a file whose
+        schema differs from the first one's is skipped, and its shards
+        fill the entries they lack), sorted like a shard, each column
+        encoded with `encode_column` into an empty plan. It depends only
+        on the file list and the encode config, so a resumed run
+        rebuilds the same plan."""
+        files = sorted(files)
+        k = min(PLAN_FILES, len(files))
+        parts: list[pa.Table] = []
+        for i in range(k):
+            pf = pq.ParquetFile(files[i * len(files) // k])
+            batch = next(pf.iter_batches(PLAN_ROWS, columns=columns), None)
+            if batch is None or not batch.num_rows:
+                continue
+            if parts and batch.schema != parts[0].schema:
+                continue
+            parts.append(pa.Table.from_batches([batch]))
+            if sum(p.nbytes for p in parts) >= self.max_chunk_bytes:
+                break
+        plan: dict = {}
+        if not parts:
+            return plan
+        sample = self._local_sorted(pa.concat_tables(parts))
+        for name in sample.column_names:
+            encode_column(
+                sample.column(name).combine_chunks(),
+                name,
+                self.codec_overrides.get(name),
+                _comp_for(self.compression, name),
+                plan,
             )
-        if shared:
-            groups.append(_dict_page_rows(shared, shard, self.compression))
-        return groups
+        return plan
 
     def encode_shard(
-        self,
-        group: pa.Table,
-        shard: str,
-        complete: bool = True,
-        cache: dict | None = None,
+        self, group: pa.Table, shard: str, complete: bool = True
     ) -> dict | pa.Table | None:
         """Encode one shard group end to end: skip it if resume finds it
         done, chunk and encode it, write its chunk file, commit its
         manifest when `complete` (the group is the whole shard; pieces
         of a block-split shard leave the commit to the driver's lineage
         merge) and return its summary row. Returns None for a skipped
-        shard and the chunk records in in-memory mode. `cache` replaces
-        the store's selection cache (e.g. a per-language one)."""
+        shard and the chunk records in in-memory mode. Every chunk reads
+        a copy of the job plan, so an entry the plan lacks is filled
+        from this shard's first chunk for this shard alone."""
         if self._shard_done(shard):
             return None
-        if cache is None:
-            cache = self._cache()
-        chunks = pa.concat_tables(self._encode_groups(group, shard, cache))
+        group = self._local_sorted(group)
+        step = self._chunk_rows(group)
+        plan = dict(self.plan or {})
+        # file-level shared dictionaries only pay off when the file
+        # holds several chunk groups
+        shared: dict | None = (
+            {} if self.output_dir and group.num_rows > step else None
+        )
+        groups = [
+            encode_table(
+                group.slice(start, step),
+                shard,
+                self.codec_overrides,
+                self.compression,
+                self.bloom_columns,
+                plan=plan,
+                shared_dicts=shared,
+            )
+            for start in range(0, group.num_rows, step)
+        ]
+        if shared:
+            groups.append(_dict_page_rows(shared, shard, self.compression))
+        chunks = pa.concat_tables(groups)
         if not self.output_dir:
             return chunks
         chunks = write_chunk_file(chunks, self.output_dir)
@@ -781,10 +716,3 @@ def split_by_shard(batch: pa.Table, default_shard: str = "mem"):
         p = paths[a]
         yield Path(p).stem, p, data.slice(int(a), int(b - a))
 
-
-# per-worker per-language-run selection caches for lang_local runs and
-# lang_salted partitions (workers are reused across tasks, so each
-# language's tables amortize over every chunk the worker encodes);
-# namespaced per store like _COLUMN_CACHE so reused workers never mix
-# corpora
-_LANG_CACHES: dict[str, dict] = {}

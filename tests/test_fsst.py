@@ -311,7 +311,7 @@ def test_native_encoder_matches_numpy(case):
 
 def test_native_lookups_are_bounded():
     """Lookups live in an LRU of MAX_LOOKUPS tables, not on the tables
-    the selection caches keep: the least recently used one is dropped,
+    the selection plans keep: the least recently used one is dropped,
     a table whose lookup was dropped rebuilds it with the same bytes,
     and the LRU does not keep a table alive."""
     _require_native()

@@ -101,42 +101,119 @@ def test_lang_local_mode(ray_session, web_small, tmp_path):
     assert summary["enc_nbytes"] <= direct["enc_nbytes"] * 1.01
 
 
-def test_cached_encoder_reuses_and_retrains():
-    from parquet_go_ray.stages.encode import encode_table
-
-    cache: dict = {}
-    t1 = webpages.generate_shard(0.001, 0, 512)
-    encode_table(t1.select(["text", "url"]), cache=cache)
-    key = ("text", "string")  # cache entries key by (column, dtype)
-    ent1 = cache.get(key)
-    assert ent1 is not None
-    table1 = ent1["ctx"].get("fsst_table")
-    assert table1 is not None
-    encode_table(t1.select(["text", "url"]), cache=cache)
-    assert cache[key]["ctx"]["fsst_table"] is table1  # reused
-    assert cache[key]["uses"] >= 2
-    # radically different data (incompressible random hex, distinct per
-    # row so neither dict nor the stale FSST table helps) -> the column
-    # ratio degrades -> the drift guard drops the cache
+def test_selection_plan_reused_and_drifted_chunk_selects_alone():
+    """A chunk reuses its plan entry (codec and FSST table); a chunk that
+    encodes worse than the entry's baseline × (1 + RETRAIN_SLACK)
+    selects for itself alone and keeps the smaller blob, and the plan
+    is not changed; one chunk encoded twice with one plan gives the same
+    bytes."""
     import numpy as np
-    import pyarrow as pa
 
+    from parquet_go_ray.codecs import chunk as chunk_mod
+    from parquet_go_ray.stages.encode import RETRAIN_SLACK, encode_table
+
+    plan: dict = {}
+    t1 = webpages.generate_shard(0.001, 0, 512).select(["text", "url"])
+    encode_table(t1, plan=plan)
+    key = ("text", "string")  # plan entries key by (column, dtype)
+    assert set(plan) == {key, ("url", "string")}
+    entries = {k: dict(e) for k, e in plan.items()}
+    ctxs = {k: dict(e["ctx"]) for k, e in plan.items()}
+    assert ctxs[key].get("fsst_table") is not None
+
+    # reused: the second chunk's text blob is the entry's codec with the
+    # entry's table, not a selection of its own
+    t2 = webpages.generate_shard(0.001, 1, 512).select(["text", "url"])
+    second = encode_table(t2, plan=plan)
+    text2 = t2.column("text").combine_chunks()
+    assert second.column("payload")[0].as_py() == chunk_mod.encode_array(
+        text2, plan[key]["codec"], None, dict(plan[key]["ctx"])
+    )
+    assert encode_table(t2, plan=plan).equals(second)
+
+    # drifted: incompressible random hex, distinct per row, so neither
+    # dict nor the entry's FSST table helps
     rng = np.random.default_rng(9)
     letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz0123456789", dtype="S1")
-    rnd = pa.table(
-        {
-            "text": [
-                b"".join(rng.choice(letters, 200)).decode() for _ in range(512)
-            ],
-            "url": t1.column("url"),
+    rnd = pa.array([b"".join(rng.choice(letters, 200)).decode() for _ in range(512)])
+    drifted = encode_table(pa.table({"text": rnd, "url": t1.column("url")}), plan=plan)
+    with_entry = chunk_mod.encode_array(rnd, plan[key]["codec"], None, dict(plan[key]["ctx"]))
+    own = chunk_mod.encode_array(rnd)
+    assert len(with_entry) > plan[key]["baseline"] * (1 + RETRAIN_SLACK) * rnd.nbytes
+    assert len(own) < len(with_entry)
+    assert drifted.column("payload")[0].as_py() == own
+    assert plan == entries
+    assert all(plan[k]["ctx"] == ctxs[k] for k in plan)
+
+
+def test_discarded_dict_shared_blob_leaves_its_values_in_the_dict_page():
+    """A dict-winning string column in a packed file emits indexes into
+    the file's dict page. When such a chunk drifts and its own selection
+    is smaller, the values it inserted stay in the page: the page only
+    appends, so the kept chunks' indexes stay valid and the file decodes
+    exactly."""
+    from parquet_go_ray.codecs import registry as R
+    from parquet_go_ray.stages.decode import decode_chunk_table
+    from parquet_go_ray.stages.encode import _dict_page_rows, encode_table
+
+    # baseline 0: every chunk drifts and keeps the smaller blob
+    plan = {("s", "string"): {"codec": R.DICT, "ctx": {}, "baseline": 0.0}}
+    shared: dict = {}
+    # 70k scattered values: 17-bit indexes still beat any own encoding
+    a = pa.table({"s": [f"{(i * 2654435761) % 2**32:08x}" for i in range(70_000)]})
+    # sequential values: front coding beats 17-bit indexes
+    b = pa.table({"s": [f"{i:05d}" for i in range(4096)]})
+    ca = encode_table(a, plan=plan, shared_dicts=shared, bloom_columns=())
+    cb = encode_table(b, plan=plan, shared_dicts=shared, bloom_columns=())
+    assert ca.column("codec").to_pylist() == ["dict_shared"]
+    assert cb.column("codec").to_pylist() == ["delta_byte_array"]
+    assert len(shared["s"]) == 70_000 + 4096
+    page = _dict_page_rows(shared, "mem", None)
+    assert page.column("n").to_pylist() == [70_000 + 4096]
+    out = decode_chunk_table(pa.concat_tables([ca, cb, page]))
+    assert out.equals(pa.concat_tables([a, b]))
+
+
+def test_store_bytes_depend_only_on_input(ray_session, tmp_path):
+    """Chunk files are a function of the input, the encode config and
+    the shard, not of which worker encoded which shard: direct and
+    lang_local stores hash the same across two runs, a run with one task
+    for every shard, and a resume after one shard's chunk files and
+    manifest were deleted."""
+    import hashlib
+
+    import pyarrow.parquet as pq
+
+    from parquet_go_ray.pipelines.encode import encode_job
+
+    (tmp_path / "in").mkdir()
+    files = []
+    for i in range(6):
+        f = str(tmp_path / "in" / f"shard-{i:05d}.parquet")
+        pq.write_table(webpages.generate_shard(0.001, i, 5000), f)
+        files.append(f)
+
+    def hashes(out):
+        d = Path(out) / "data"
+        return {
+            str(p.relative_to(d)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(d.rglob("*.parquet"))
         }
-    )
-    for _ in range(3):
-        encode_table(rnd, cache=cache)
-    # after the drift guard fires, the cache is either retrained (new
-    # object) or dropped; it must not still be the stale table
-    ent = cache.get(key)
-    assert ent is None or ent["ctx"].get("fsst_table") is not table1
+
+    for mode in ("direct", "lang_local"):
+        runs = []
+        for k, kw in enumerate(({}, {}, {"override_num_blocks": 1})):
+            out = str(tmp_path / f"{mode}{k}")
+            encode_job(files, out, mode=mode, **kw)
+            runs.append(hashes(out))
+        out = tmp_path / f"{mode}0"
+        shutil.rmtree(out / "data" / "shard-00003")
+        for p in (out / "_manifest").glob("shard-00003.*"):
+            p.unlink()
+        assert encode_job(files, str(out), mode=mode)["shards_skipped"] == 5
+        runs.append(hashes(out))
+        assert len(runs[0]) == 6
+        assert all(r == runs[0] for r in runs[1:]), mode
 
 
 def test_compressed_encode_job(ray_session, web_small, tmp_path):
@@ -343,6 +420,16 @@ def test_cli_smoke(ray_session, web_small, tmp_path):
         capture_output=True, text=True, cwd="/root/repo",
     )
     assert r.returncode == 0 and "column" in r.stdout
+    # the job plan is recorded with the job and described: per column,
+    # the codec the sample chose and the ratio it reached
+    from parquet_go_ray.codecs.registry import CODEC_IDS
+    from parquet_go_ray.state import manifest
+
+    plan = manifest.load_job_meta(out)["plan"]
+    assert set(plan) == set(webpages.SCHEMA.names)
+    assert all(e["codec"] in CODEC_IDS and 0 < e["ratio"] for e in plan.values())
+    line = next(x for x in r.stdout.splitlines() if x.startswith("job plan"))
+    assert f"url={plan['url']['codec']}" in line
 
 
 def test_checksum_detects_change(ray_session, web_small):
@@ -417,29 +504,6 @@ def test_encode_shard_bytes_capped(tmp_path):
     n_per_chunk = data.to_pandas().groupby("chunk_id")["n"].first()
     assert len(n_per_chunk) >= 3 and n_per_chunk.max() <= 16
     assert decode_chunk_table(chunks).equals(t)
-
-
-def test_salted_cache_namespaced_per_store(tmp_path):
-    """lang_salted's per-language selection cache lives under the
-    store's namespace: a reused worker encoding the same language for
-    two stores keeps two caches, so one store's codec choices and FSST
-    tables never leak into the other."""
-    from parquet_go_ray.pipelines.encode import _encode_salted_group
-    from parquet_go_ray.stages.encode import ChunkEncoder
-
-    t = webpages.generate_shard(0.001, 0, 300)
-    n = t.num_rows
-    group = t.set_column(
-        t.schema.get_field_index("lang"), "lang", pa.array(["en"] * n)
-    ).append_column("_salt", pa.array([0] * n, type=pa.int32()))
-    encs = [ChunkEncoder(output_dir=str(tmp_path / d)) for d in ("a", "b")]
-    for enc in encs:
-        out = _encode_salted_group(group, enc)
-        assert out.column("shard").to_pylist() == ["lang=en-s00"]
-    a, b = (enc._cache("en") for enc in encs)
-    assert a is not b
-    assert ("text", "string") in a and ("text", "string") in b
-    assert a[("text", "string")]["ctx"] is not b[("text", "string")]["ctx"]
 
 
 def test_flipped_payload_byte_raises_chunk_error():
@@ -593,30 +657,13 @@ def test_image_resizer_dims_and_determinism():
         ImageResizer(decode_stub=False)(batch.iloc[:1])
 
 
-def test_codec_cache_namespace_identity():
-    """Same store + config -> same namespace (resume/retry/steady
-    ingest re-runs stay warm); different store, different config, or
-    no store -> isolated namespaces."""
-    from parquet_go_ray.stages.encode import ChunkEncoder
-
-    a1 = ChunkEncoder(output_dir="/tmp/ns_x")
-    a2 = ChunkEncoder(output_dir="/tmp/ns_x")
-    assert a1.cache_namespace == a2.cache_namespace
-    assert ChunkEncoder(output_dir="/tmp/ns_y").cache_namespace != a1.cache_namespace
-    assert (
-        ChunkEncoder(output_dir="/tmp/ns_x", compression="zstd").cache_namespace
-        != a1.cache_namespace
-    )
-    assert ChunkEncoder().cache_namespace != ChunkEncoder().cache_namespace
-
-
 def test_codec_cache_isolated_across_jobs(ray_session, tmp_path):
     """Two encode jobs sharing a column NAME in one Ray session must not
     share codec selections: Ray reuses worker processes across jobs, so
-    a per-worker cache keyed by column name alone lets job A's
-    selection for `text` poison job B's unrelated `text` column
-    (VERDICT r3 #1). Job B's output must be byte-identical to a
-    standalone run of job B."""
+    selection state kept in a worker would let job A's selection for
+    `text` poison job B's unrelated `text` column. Each job samples its
+    own plan, so job B's output must be byte-identical to a standalone
+    run of job B."""
     import random
 
     import pyarrow.parquet as pq
@@ -625,8 +672,7 @@ def test_codec_cache_isolated_across_jobs(ray_session, tmp_path):
 
     rng = random.Random(7)
     # corpus A: one constant value -> dict codec wins at ~0 ratio.
-    # Enough shards that EVERY worker in the session encodes some of A
-    # and warms its per-process cache.
+    # Enough shards that EVERY worker in the session encodes some of A.
     fa = []
     for i in range(12):
         f = str(tmp_path / f"a{i}.parquet")
@@ -635,8 +681,7 @@ def test_codec_cache_isolated_across_jobs(ray_session, tmp_path):
         )
         fa.append(f)
     # corpus B: high-entropy unique strings -> a dict selection trained
-    # on A would be badly wrong here, and the drift guard's hysteresis
-    # never triggers on a short job
+    # on A would be badly wrong here
     fb = []
     for i in range(4):
         f = str(tmp_path / f"b{i}.parquet")
@@ -653,7 +698,7 @@ def test_codec_cache_isolated_across_jobs(ray_session, tmp_path):
         return s["enc_nbytes"]
 
     standalone_b = enc_bytes(fb, "b_alone")
-    enc_bytes(fa, "a_first")  # warm every worker's cache with corpus A
+    enc_bytes(fa, "a_first")  # every worker encodes corpus A first
     poisoned_b = enc_bytes(fb, "b_after_a")
     assert poisoned_b == standalone_b
 

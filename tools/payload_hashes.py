@@ -3,8 +3,9 @@ that `stages.encode.encode_table` writes for perfbench's generated input.
 
 For seeds 21 and 11 it encodes 24 chunks of
 `perfbench.gen.generate_shard(seed, i, 4096)` twice: cold (no selection
-cache, so every chunk selects and trains on its own) and warm (one cache
-shared by all 24 chunks, as a worker's cache is). The settings are fixed
+plan, so every chunk selects and trains on its own) and warm (one plan
+filled from chunk 0 and read by all 24 chunks, as in one
+`ChunkEncoder.encode_shard` call). The settings are fixed
 so that two trees are always hashed alike. It prints one line per seed
 and mode with one SHA-256 over all payloads in order, their byte count
 and the codec of each column. A codec, selector or tokenizer edit that
@@ -15,7 +16,9 @@ commit:
     python tools/payload_hashes.py --repo ../parent     # another checkout
 
 `--repo` imports `parquet_go_ray` and `perfbench` from that checkout, so
-one copy of this script can hash a tree that predates it.
+one copy of this script can hash a tree that predates it. The cold lines
+print first; the warm lines need a tree whose `encode_table` takes
+`plan=`.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ def hash_payloads(seed: int, warm: bool) -> dict:
     h = hashlib.sha256()
     nbytes = 0
     codecs = collections.Counter()
-    cache = {} if warm else None
+    plan: dict = {}
     for i in range(CHUNKS):
-        chunks = encode_table(gen.generate_shard(seed, i, ROWS), cache=cache)
+        shard = gen.generate_shard(seed, i, ROWS)
+        chunks = encode_table(shard, plan=plan) if warm else encode_table(shard)
         for column, codec, payload in zip(
             chunks.column("column").to_pylist(),
             chunks.column("codec").to_pylist(),
@@ -57,8 +61,8 @@ def main() -> None:
     ap.add_argument("--repo", default=str(Path(__file__).resolve().parents[1]))
     args = ap.parse_args()
     sys.path.insert(0, str(Path(args.repo).resolve()))
-    for seed in SEEDS:
-        for warm in (False, True):
+    for warm in (False, True):
+        for seed in SEEDS:
             r = hash_payloads(seed, warm)
             mode = "warm" if warm else "cold"
             codecs = " ".join(f"{k}={v}" for k, v in r["codecs"].items())
